@@ -48,12 +48,10 @@ from .partition import (
     check_memory,
     multi_cluster_alloc,
     stages_from_cluster_alloc,
-    two_nic_split,
     uniform_partition,
 )
 from .planner import (
     PlanResult,
-    calibrate_eta,
     nic_env_label,
     partition_scenario,
     plan_scenario,

@@ -1,19 +1,24 @@
-"""Scenario documents: strict JSON schema, loading, and fingerprinting.
+"""Scenario documents: loading, field-by-field checking, and fingerprinting.
 
 A scenario file declares the topology, model, parallel degrees, partition
-strategy, and cost-model knobs in one JSON object.  Unknown keys are
-rejected so that a scenario's content hash identifies exactly what was
-simulated.
+strategy, and cost-model knobs in one JSON object.  :func:`parse_scenario`
+checks each field where it reads it: counts are integers >= 1 (``true`` and
+``2.0`` are not), every other number is finite and inside its bound, each
+per-cluster list has one entry per cluster, and a key that is not read is
+rejected, so that a scenario's content hash identifies exactly what was
+simulated.  A failure raises :class:`ConfigError` naming where it sits: a
+missing or unknown key names the object that holds it (``<root>``,
+``topology.clusters.3``), a bad value names its field (``model.layers``),
+and a bad list item adds its 0-based index (``cost.cluster_speeds_tflops.1``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
-
-import jsonschema
 
 from .errors import ConfigError
 from .groups import ParallelConfig
@@ -27,133 +32,117 @@ from .topology import (
     NicSpec,
 )
 
-_NIC_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"type": "string", "enum": ["infiniband", "roce", "ethernet"]},
-        "bandwidth_gbps": {"type": "number", "exclusiveMinimum": 0},
-        "latency_s": {"type": "number", "minimum": 0},
-    },
-    "required": ["kind", "bandwidth_gbps"],
-    "additionalProperties": False,
-}
+_REQUIRED = object()
 
-_ETHERNET_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "bandwidth_gbps": {"type": "number", "exclusiveMinimum": 0},
-        "latency_s": {"type": "number", "minimum": 0},
-    },
-    "required": ["bandwidth_gbps"],
-    "additionalProperties": False,
-}
 
-SCENARIO_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "topology": {
-            "type": "object",
-            "properties": {
-                "clusters": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "properties": {
-                            "nodes": {"type": "integer", "minimum": 1},
-                            "nic": _NIC_SCHEMA,
-                            "device_tflops_peak": {
-                                "type": "number",
-                                "exclusiveMinimum": 0,
-                            },
-                            "device_mem_gb": {
-                                "type": "number",
-                                "exclusiveMinimum": 0,
-                            },
-                        },
-                        "required": ["nodes"],
-                        "additionalProperties": False,
-                    },
-                },
-                "gpus_per_node": {"type": "integer", "minimum": 1},
-                "ethernet": _ETHERNET_SCHEMA,
-                "intra_node_bandwidth_gbps": {
-                    "type": "number",
-                    "exclusiveMinimum": 0,
-                },
-                "intra_node_latency_s": {"type": "number", "minimum": 0},
-                "inter_cluster_rdma": {"type": "boolean"},
-            },
-            "required": [
-                "clusters",
-                "gpus_per_node",
-                "ethernet",
-                "intra_node_bandwidth_gbps",
-            ],
-            "additionalProperties": False,
-        },
-        "model": {
-            "type": "object",
-            "properties": {
-                "layers": {"type": "integer", "minimum": 1},
-                "hidden": {"type": "integer", "minimum": 1},
-                "heads": {"type": "integer", "minimum": 1},
-                "seq_len": {"type": "integer", "minimum": 1},
-                "vocab": {"type": "integer", "minimum": 1},
-                "global_batch": {"type": "integer", "minimum": 1},
-                "micro_batch": {"type": "integer", "minimum": 1},
-                "bytes_per_param": {"type": "integer", "minimum": 1},
-                "per_layer_mem_gb": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["layers", "hidden", "heads", "global_batch", "micro_batch"],
-            "additionalProperties": False,
-        },
-        "parallel": {
-            "type": "object",
-            "properties": {
-                "t": {"type": "integer", "minimum": 1},
-                "p": {"type": "integer", "minimum": 1},
-                "d": {"type": "integer", "minimum": 1},
-            },
-            "required": ["t", "p", "d"],
-            "additionalProperties": False,
-        },
-        "partition": {
-            "type": "object",
-            "properties": {
-                "strategy": {"type": "string", "enum": ["uniform", "self_adapting"]},
-                "alpha": {"type": "number", "exclusiveMinimum": 0},
-                "cluster_alphas": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                },
-                "cluster_mem_budget_gb": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                },
-            },
-            "additionalProperties": False,
-        },
-        "cost": {
-            "type": "object",
-            "properties": {
-                "eta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "backward_forward_ratio": {"type": "number", "exclusiveMinimum": 0},
-                "cluster_speeds_tflops": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                },
-            },
-            "additionalProperties": False,
-        },
-        "notes": {"type": "string"},
-    },
-    "required": ["topology", "model", "parallel"],
-    "additionalProperties": False,
-}
+def _invalid(path: str, problem: str) -> ConfigError:
+    return ConfigError(f"invalid scenario at {path or '<root>'}: {problem}")
 
-_FLAGGED_MODEL_DEFAULTS = ("seq_len", "vocab")
+
+def _show(value) -> str:
+    if isinstance(value, dict):
+        return "an object"
+    if isinstance(value, list):
+        return "a list"
+    return json.dumps(value)
+
+
+class _Fields:
+    """One JSON object of a scenario, checked field by field as it is read.
+
+    ``path`` is where the object sits, "" for the document itself; call
+    :meth:`close` after the last read to reject the keys nobody read.
+    """
+
+    def __init__(self, doc, path: str = ""):
+        if not isinstance(doc, dict):
+            raise _invalid(path, f"expected an object, got {_show(doc)}")
+        self.doc = doc
+        self.path = path
+        self._read: set = set()
+
+    def _at(self, key) -> str:
+        return f"{self.path}.{key}" if self.path else str(key)
+
+    def _get(self, key, default, ok=None, expected=""):
+        self._read.add(key)
+        if key not in self.doc:
+            if default is _REQUIRED:
+                raise _invalid(self.path, f"missing required key {key!r}")
+            return default
+        value = self.doc[key]
+        if ok is not None and not ok(value):
+            raise _invalid(self._at(key), f"expected {expected}, got {_show(value)}")
+        return value
+
+    def integer(self, key, default=_REQUIRED) -> int:
+        def ok(v):
+            return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+        return self._get(key, default, ok, "an integer >= 1")
+
+    def number(self, key, default=_REQUIRED, zero_ok=False, at_most=math.inf):
+        """A finite number > 0 (>= 0 with ``zero_ok``) and <= ``at_most``."""
+
+        def ok(v):
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                return False
+            # NaN fails every comparison; the last one also rejects Infinity.
+            return (v >= 0 if zero_ok else v > 0) and v <= at_most and v < math.inf
+
+        expected = f"a finite number {'>=' if zero_ok else '>'} 0"
+        if at_most < math.inf:
+            expected += f" and <= {at_most:g}"
+        return self._get(key, default, ok, expected)
+
+    def flag(self, key, default) -> bool:
+        return self._get(key, default, lambda v: isinstance(v, bool), "true or false")
+
+    def string(self, key, default) -> str:
+        return self._get(key, default, lambda v: isinstance(v, str), "a string")
+
+    def choice(self, key, enum, default=_REQUIRED):
+        """One of the values of a string ``enum``, returned as its member."""
+        values = [member.value for member in enum]
+        expected = "one of " + ", ".join(json.dumps(v) for v in values)
+        value = self._get(
+            key, default, lambda v: isinstance(v, str) and v in values, expected
+        )
+        return enum(value)
+
+    def obj(self, key, default=_REQUIRED) -> _Fields:
+        return _Fields(self._get(key, default), self._at(key))
+
+    def _items(self, key, default) -> _Fields | None:
+        # A list is read as an object keyed by index, so its items get the
+        # same checks and paths as fields.
+        items = self._get(key, default, lambda v: isinstance(v, list), "a list")
+        return None if items is None else _Fields(dict(enumerate(items)), self._at(key))
+
+    def objects(self, key) -> list[_Fields]:
+        """A required, non-empty list of objects."""
+        items = self._items(key, _REQUIRED)
+        if not items.doc:
+            raise _invalid(items.path, "expected at least one entry, got none")
+        return [items.obj(i) for i in items.doc]
+
+    def numbers(self, key, counts: tuple[int, ...]) -> tuple[float, ...] | None:
+        """An optional list of finite numbers > 0 with one of ``counts`` entries."""
+        items = self._items(key, None)
+        if items is None:
+            return None
+        values = tuple(items.number(i) for i in items.doc)
+        if len(values) not in counts:
+            expected = " or ".join(str(n) for n in counts)
+            raise _invalid(
+                items.path, f"expected {expected} entries, got {len(values)}"
+            )
+        return values
+
+    def close(self) -> None:
+        unknown = [key for key in self.doc if key not in self._read]
+        if unknown:
+            raise _invalid(self.path, "unknown key " + ", ".join(map(repr, unknown)))
 
 
 @dataclass(frozen=True)
@@ -179,110 +168,97 @@ class ScenarioConfig:
     notes: str | None = None
 
 
-def _nic_from_doc(doc: dict, kind: NicKind | None = None) -> NicSpec:
-    return NicSpec(
-        kind=kind if kind is not None else NicKind(doc["kind"]),
-        bandwidth_gbps=doc["bandwidth_gbps"],
-        latency_s=doc.get("latency_s"),
+def _nic(fields: _Fields, kind: NicKind | None = None) -> NicSpec:
+    nic = NicSpec(
+        kind=kind if kind is not None else fields.choice("kind", NicKind),
+        bandwidth_gbps=fields.number("bandwidth_gbps"),
+        latency_s=fields.number("latency_s", None, zero_ok=True),
     )
+    fields.close()
+    return nic
 
 
 def parse_scenario(doc: dict, raw: bytes, name: str = "scenario") -> ScenarioConfig:
-    """Validate a scenario document against the schema and build the objects."""
-    try:
-        jsonschema.validate(doc, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(part) for part in exc.absolute_path) or "<root>"
-        raise ConfigError(f"invalid scenario at {path}: {exc.message}") from exc
-
-    topo_doc = doc["topology"]
-    ethernet = _nic_from_doc(topo_doc["ethernet"], kind=NicKind.ETHERNET)
+    """Check a scenario document field by field and build the objects."""
+    root = _Fields(doc)
+    topo_doc = root.obj("topology")
+    ethernet = _nic(topo_doc.obj("ethernet"), kind=NicKind.ETHERNET)
     clusters = []
-    for i, cdoc in enumerate(topo_doc["clusters"], start=1):
-        nic = _nic_from_doc(cdoc["nic"]) if "nic" in cdoc else ethernet
+    for i, cdoc in enumerate(topo_doc.objects("clusters"), start=1):
         clusters.append(
             Cluster(
                 index=i,
-                node_count=cdoc["nodes"],
-                rdma_nic=nic,
-                device_tflops_peak=cdoc.get("device_tflops_peak", 312.0),
-                device_mem_gb=cdoc.get("device_mem_gb", 80.0),
+                node_count=cdoc.integer("nodes"),
+                rdma_nic=_nic(cdoc.obj("nic")) if "nic" in cdoc.doc else ethernet,
+                device_tflops_peak=cdoc.number(
+                    "device_tflops_peak", Cluster.device_tflops_peak
+                ),
+                device_mem_gb=cdoc.number("device_mem_gb", Cluster.device_mem_gb),
             )
         )
+        cdoc.close()
     topology = ClusterTopology(
         clusters=tuple(clusters),
-        gpus_per_node=topo_doc["gpus_per_node"],
+        gpus_per_node=topo_doc.integer("gpus_per_node"),
         ethernet=ethernet,
-        intra_node_bandwidth_gbps=topo_doc["intra_node_bandwidth_gbps"],
-        intra_node_latency_s=topo_doc.get(
-            "intra_node_latency_s", DEFAULT_INTRA_NODE_LATENCY_S
+        intra_node_bandwidth_gbps=topo_doc.number("intra_node_bandwidth_gbps"),
+        intra_node_latency_s=topo_doc.number(
+            "intra_node_latency_s", DEFAULT_INTRA_NODE_LATENCY_S, zero_ok=True
         ),
-        inter_cluster_rdma=topo_doc.get("inter_cluster_rdma", False),
+        inter_cluster_rdma=topo_doc.flag("inter_cluster_rdma", False),
     )
+    topo_doc.close()
 
-    model_doc = doc["model"]
-    defaults = tuple(
-        f"model.{key}" for key in _FLAGGED_MODEL_DEFAULTS if key not in model_doc
-    )
+    model_doc = root.obj("model")
     model = ModelSpec(
-        layers=model_doc["layers"],
-        hidden=model_doc["hidden"],
-        heads=model_doc["heads"],
-        global_batch=model_doc["global_batch"],
-        micro_batch=model_doc["micro_batch"],
-        seq_len=model_doc.get("seq_len", 2048),
-        vocab=model_doc.get("vocab", 51200),
-        bytes_per_param=model_doc.get("bytes_per_param", 2),
-        per_layer_mem_gb=model_doc.get("per_layer_mem_gb"),
+        layers=model_doc.integer("layers"),
+        hidden=model_doc.integer("hidden"),
+        heads=model_doc.integer("heads"),
+        global_batch=model_doc.integer("global_batch"),
+        micro_batch=model_doc.integer("micro_batch"),
+        seq_len=model_doc.integer("seq_len", ModelSpec.seq_len),
+        vocab=model_doc.integer("vocab", ModelSpec.vocab),
+        bytes_per_param=model_doc.integer("bytes_per_param", ModelSpec.bytes_per_param),
+        per_layer_mem_gb=model_doc.number("per_layer_mem_gb", None),
     )
+    defaults = tuple(
+        f"model.{key}" for key in ("seq_len", "vocab") if key not in model_doc.doc
+    )
+    model_doc.close()
 
-    par_doc = doc["parallel"]
+    par_doc = root.obj("parallel")
     parallel = ParallelConfig(
-        tensor=par_doc["t"], pipeline=par_doc["p"], data=par_doc["d"]
+        tensor=par_doc.integer("t"),
+        pipeline=par_doc.integer("p"),
+        data=par_doc.integer("d"),
     )
+    par_doc.close()
 
-    part_doc = doc.get("partition", {})
+    m = len(clusters)
+    part_doc = root.obj("partition", {})
     part = PartitionSettings(
-        strategy=PartitionStrategy(part_doc.get("strategy", "uniform")),
-        alpha=part_doc.get("alpha", 1.0),
-        cluster_alphas=(
-            tuple(part_doc["cluster_alphas"])
-            if "cluster_alphas" in part_doc
-            else None
+        strategy=part_doc.choice(
+            "strategy", PartitionStrategy, PartitionSettings.strategy
         ),
-        cluster_mem_budget_gb=(
-            tuple(part_doc["cluster_mem_budget_gb"])
-            if "cluster_mem_budget_gb" in part_doc
-            else None
-        ),
+        alpha=part_doc.number("alpha", PartitionSettings.alpha),
+        # The last cluster takes the remainder, so its alpha may be left out.
+        cluster_alphas=part_doc.numbers("cluster_alphas", (m, m - 1)),
+        cluster_mem_budget_gb=part_doc.numbers("cluster_mem_budget_gb", (m,)),
     )
+    part_doc.close()
 
-    cost_doc = doc.get("cost", {})
+    cost_doc = root.obj("cost", {})
     cost = CostModel(
-        eta=cost_doc.get("eta", CostModel.eta),
-        backward_forward_ratio=cost_doc.get(
+        eta=cost_doc.number("eta", CostModel.eta, at_most=1),
+        backward_forward_ratio=cost_doc.number(
             "backward_forward_ratio", CostModel.backward_forward_ratio
         ),
-        cluster_speeds_tflops=(
-            tuple(cost_doc["cluster_speeds_tflops"])
-            if "cluster_speeds_tflops" in cost_doc
-            else None
-        ),
+        cluster_speeds_tflops=cost_doc.numbers("cluster_speeds_tflops", (m,)),
     )
-    if cost.cluster_speeds_tflops is not None and len(
-        cost.cluster_speeds_tflops
-    ) != len(clusters):
-        raise ConfigError(
-            f"cost.cluster_speeds_tflops has {len(cost.cluster_speeds_tflops)} "
-            f"entries for {len(clusters)} clusters"
-        )
-    for key in ("cluster_alphas", "cluster_mem_budget_gb"):
-        value = getattr(part, key)
-        if value is not None and len(value) not in (len(clusters), len(clusters) - 1):
-            raise ConfigError(
-                f"partition.{key} has {len(value)} entries for {len(clusters)} clusters"
-            )
+    cost_doc.close()
 
+    notes = root.string("notes", None)
+    root.close()
     return ScenarioConfig(
         topology=topology,
         model=model,
@@ -292,7 +268,7 @@ def parse_scenario(doc: dict, raw: bytes, name: str = "scenario") -> ScenarioCon
         fingerprint=hashlib.sha256(raw).hexdigest(),
         name=name,
         defaults_applied=defaults,
-        notes=doc.get("notes"),
+        notes=notes,
     )
 
 
@@ -313,6 +289,4 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             line=exc.lineno,
             column=exc.colno,
         ) from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
     return parse_scenario(doc, raw, name=path.stem)

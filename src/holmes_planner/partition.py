@@ -104,40 +104,6 @@ def uniform_partition(layers: int, stages: int) -> list[int]:
     return [base + 1 if s < extra else base for s in range(stages)]
 
 
-def two_nic_split(
-    layers: int, ib_tflops: float, roce_tflops: float, alpha: float
-) -> tuple[int, int]:
-    """Layer counts for an IB-connected and a RoCE-connected device pair.
-
-    The IB side receives floor(alpha * ib / (ib + roce) * layers); splits
-    that would starve either side are clamped to leave at least one layer
-    each, with a :class:`ClampWarning`.
-    """
-    if ib_tflops <= 0 or roce_tflops <= 0:
-        raise InfeasibleConfigError("device speeds must be positive")
-    if alpha <= 0:
-        raise InfeasibleConfigError(f"alpha must be positive, got {alpha}")
-    if layers < 2:
-        raise InfeasibleConfigError("a two-way split needs at least 2 layers")
-    n_ib = math.floor(alpha * ib_tflops / (ib_tflops + roce_tflops) * layers)
-    if n_ib >= layers:
-        warnings.warn(
-            f"alpha {alpha} pushed the fast side to {n_ib} of {layers} layers; "
-            f"clamped to {layers - 1}",
-            ClampWarning,
-            stacklevel=2,
-        )
-        n_ib = layers - 1
-    elif n_ib < 1:
-        warnings.warn(
-            f"alpha {alpha} left the fast side with {n_ib} layers; clamped to 1",
-            ClampWarning,
-            stacklevel=2,
-        )
-        n_ib = 1
-    return n_ib, layers - n_ib
-
-
 def check_memory(cluster_layers, mem_per_layer_gb, dmem_gb, alphas_in_play=False):
     """Enforce layers * per-layer GB <= budget for every cluster."""
     for i, (count, budget) in enumerate(zip(cluster_layers, dmem_gb), start=1):

@@ -117,12 +117,7 @@ def cluster_mem_budgets(
     device of the path).  A scenario can override the list directly.
     """
     if settings.cluster_mem_budget_gb is not None:
-        budgets = list(settings.cluster_mem_budget_gb)
-        if len(budgets) == len(topo.clusters):
-            return budgets
-        raise InfeasibleConfigError(
-            f"{len(budgets)} memory budgets for {len(topo.clusters)} clusters"
-        )
+        return list(settings.cluster_mem_budget_gb)
     return [
         c.device_mem_gb * stages
         for c, stages in zip(topo.clusters, _stages_per_cluster(topo, cfg))
@@ -223,44 +218,6 @@ def scenario_reduce_scatter(
     return simulator.reduce_scatter_report(
         planned.plan, planned.channels, part, scenario.model, scenario.cost
     )
-
-
-def calibrate_eta(scenario: ScenarioConfig, target_tflops: float) -> float:
-    """One-knob fit of the compute-efficiency factor.
-
-    Iteration time is affine in 1/eta (compute scales, communication does
-    not), so two probe runs identify the curve and the target efficiency is
-    solved exactly, then clamped into (0, 1].
-    """
-    if target_tflops <= 0:
-        raise InfeasibleConfigError("target TFLOPS must be positive")
-    if scenario.cost.cluster_speeds_tflops is not None:
-        raise InfeasibleConfigError(
-            "calibration adjusts eta; remove cost.cluster_speeds_tflops first"
-        )
-
-    def time_at(eta: float) -> float:
-        probe = dataclasses.replace(
-            scenario, cost=dataclasses.replace(scenario.cost, eta=eta)
-        )
-        report, _, _ = run_scenario(probe)
-        return report.iter_time_s
-
-    eta_a, eta_b = 0.5, 1.0
-    t_a, t_b = time_at(eta_a), time_at(eta_b)
-    # t(eta) = compute/eta + comm  =>  solve the two-point system.
-    compute = (t_a - t_b) / (1.0 / eta_a - 1.0 / eta_b)
-    comm = t_b - compute / eta_b
-    n = scenario.topology.total_devices
-    flops = simulator.flops_per_iteration(scenario.model)
-    target_time = flops / (target_tflops * 1e12 * n)
-    if target_time <= comm:
-        raise InfeasibleConfigError(
-            f"target {target_tflops} TFLOPS needs iteration time {target_time:.4f}s "
-            f"below the communication floor {comm:.4f}s"
-        )
-    eta = compute / (target_time - comm)
-    return min(max(eta, 1e-6), 1.0)
 
 
 def nic_env_label(topo: ClusterTopology) -> str:

@@ -46,9 +46,10 @@ DEFAULT_COMPUTE_EFFICIENCY = 0.63  # fraction of peak achieved on 200 Gbps RDMA
 class CostModel:
     """Transfer pricing plus the compute-efficiency knob.
 
-    ``eta`` is the achieved fraction of peak device throughput; the default
-    0.63 reproduces ~197 achieved TFLOPS on a 312-TFLOPS device for the
-    reference 3.6B-parameter run.  ``cluster_speeds_tflops``, when given,
+    ``eta`` is the achieved fraction of peak device throughput; at the
+    default 0.63 the reference 3.6B-parameter run on 200 Gbps InfiniBand
+    (``scenarios/gpt_3p6b_infiniband.json``) simulates to 175.56 TFLOPS per
+    312-TFLOPS device, end to end.  ``cluster_speeds_tflops``, when given,
     overrides eta*peak with an explicit effective speed per cluster, which
     lets scenarios express NIC-dependent speed differences.
     """

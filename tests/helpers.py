@@ -83,3 +83,50 @@ def factorizations(n):
                 continue
             out.append((t, p, rest // p))
     return out
+
+
+def full_scenario():
+    """A valid scenario document that sets every optional field: two 2-node
+    clusters of 4 GPUs (IB, RoCE), t=2 p=4 d=2, self-adapting partition."""
+    return {
+        "topology": {
+            "clusters": [
+                {
+                    "nodes": 2,
+                    "nic": {"kind": "infiniband", "bandwidth_gbps": 200, "latency_s": 5e-6},
+                    "device_tflops_peak": 312.0,
+                    "device_mem_gb": 80.0,
+                },
+                {"nodes": 2, "nic": {"kind": "roce", "bandwidth_gbps": 200}},
+            ],
+            "gpus_per_node": 4,
+            "ethernet": {"bandwidth_gbps": 25, "latency_s": 3e-5},
+            "intra_node_bandwidth_gbps": 2400,
+            "intra_node_latency_s": 1e-6,
+            "inter_cluster_rdma": False,
+        },
+        "model": {
+            "layers": 8,
+            "hidden": 1024,
+            "heads": 16,
+            "seq_len": 2048,
+            "vocab": 51200,
+            "global_batch": 64,
+            "micro_batch": 2,
+            "bytes_per_param": 2,
+            "per_layer_mem_gb": 0.5,
+        },
+        "parallel": {"t": 2, "p": 4, "d": 2},
+        "partition": {
+            "strategy": "self_adapting",
+            "alpha": 1.0,
+            "cluster_alphas": [1.0],
+            "cluster_mem_budget_gb": [160.0, 160.0],
+        },
+        "cost": {
+            "eta": 0.63,
+            "backward_forward_ratio": 2.0,
+            "cluster_speeds_tflops": [197.0, 160.0],
+        },
+        "notes": "every optional field is set",
+    }

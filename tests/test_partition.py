@@ -21,30 +21,15 @@ def test_uniform_rejects_too_few_layers():
         hp.uniform_partition(2, 3)
 
 
-def test_two_nic_split_reference_values():
-    assert hp.two_nic_split(30, 197.0, 160.0, 1.05) == (17, 13)
-    assert hp.two_nic_split(30, 197.0, 160.0, 1.0) == (16, 14)
-
-
-def test_two_nic_split_symmetry_reduces_to_uniform():
-    assert hp.two_nic_split(30, 150.0, 150.0, 1.0) == (15, 15)
-
-
-def test_two_nic_split_exact_floor():
-    # 1.05 * 197 / 357 * 30 = 17.382...; floor, never round
-    n_ib, n_roce = hp.two_nic_split(30, 197.0, 160.0, 1.05)
-    assert n_ib == 17 and n_ib + n_roce == 30
-
-
-def test_two_nic_split_clamps_with_warning():
-    with pytest.warns(hp.ClampWarning):
-        n_ib, n_roce = hp.two_nic_split(10, 200.0, 100.0, 3.0)
-    assert (n_ib, n_roce) == (9, 1)
-
-
 def test_multi_cluster_alloc_reference_values():
     alloc = hp.multi_cluster_alloc(36, [197.0, 160.0, 122.0], [1, 1, 1], 2.0, [30, 30, 30])
     assert alloc == [14, 12, 10]
+    for speeds, alpha, expected in (
+        ([197.0, 160.0], 1.05, [17, 13]),  # 1.05 * 197 / 357 * 30 = 17.38; floor, never round
+        ([197.0, 160.0], 1.0, [16, 14]),
+        ([150.0, 150.0], 1.0, [15, 15]),  # equal speeds reduce to the uniform split
+    ):
+        assert hp.multi_cluster_alloc(30, speeds, [alpha], 0.1, [100, 100]) == expected
 
 
 def test_multi_cluster_alloc_single_cluster_takes_all():
@@ -70,12 +55,6 @@ def test_multi_cluster_alloc_memory_hint_mentions_alpha():
 def test_multi_cluster_alloc_infeasible_alpha():
     with pytest.raises(hp.InfeasibleAlphaError):
         hp.multi_cluster_alloc(10, [100.0, 1.0], [10.0, 1.0], 0.1, [100, 100])
-
-
-def test_multi_cluster_alloc_matches_two_nic_split():
-    n_ib, n_roce = hp.two_nic_split(30, 197.0, 160.0, 1.05)
-    alloc = hp.multi_cluster_alloc(30, [197.0, 160.0], [1.05], 0.1, [100, 100])
-    assert alloc == [n_ib, n_roce]
 
 
 def test_stages_from_cluster_alloc_two_stages_per_cluster():
@@ -117,23 +96,30 @@ def test_conservation_random():
 
 
 def test_two_nic_monotonicity_in_speed_and_alpha():
+    def fast_side(layers, s_ib, alpha):
+        return hp.multi_cluster_alloc(layers, [s_ib, 160.0], [alpha], 0.001, [1000.0] * 2)[0]
+
     for layers in (8, 30, 61):
         last = 0
         for s_ib in range(50, 400, 25):
-            n_ib, _ = hp.two_nic_split(layers, float(s_ib), 160.0, 1.0)
+            n_ib = fast_side(layers, float(s_ib), 1.0)
             assert n_ib >= last
             last = n_ib
         last = 0
         for alpha_pct in range(50, 160, 5):
-            n_ib, _ = hp.two_nic_split(layers, 197.0, 160.0, alpha_pct / 100.0)
+            n_ib = fast_side(layers, 197.0, alpha_pct / 100.0)
             assert n_ib >= last
             last = n_ib
 
 
 def test_clamp_never_leaves_zero_layer_stage():
     for alpha in (0.01, 0.5, 1.0, 2.0, 10.0):
-        n_ib, n_roce = hp.two_nic_split(5, 300.0, 10.0, alpha)
-        assert n_ib >= 1 and n_roce >= 1
+        try:
+            alloc = hp.multi_cluster_alloc(5, [300.0, 10.0], [alpha], 0.001, [100.0] * 2)
+        except hp.InfeasibleAlphaError:
+            assert alpha >= 2.0  # the fast side would take every layer
+        else:
+            assert min(alloc) >= 1
 
 
 def test_model_spec_default_layer_memory():
