@@ -76,6 +76,8 @@ class _Fields:
         return value
 
     def integer(self, key, default=_REQUIRED) -> int:
+        """An integer >= 1; ``true`` and ``2.0`` are not integers."""
+
         def ok(v):
             return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 
