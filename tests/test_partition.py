@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -24,12 +25,27 @@ def test_uniform_rejects_too_few_layers():
 def test_multi_cluster_alloc_reference_values():
     alloc = hp.multi_cluster_alloc(36, [197.0, 160.0, 122.0], [1, 1, 1], 2.0, [30, 30, 30])
     assert alloc == [14, 12, 10]
-    for speeds, alpha, expected in (
-        ([197.0, 160.0], 1.05, [17, 13]),  # 1.05 * 197 / 357 * 30 = 17.38; floor, never round
-        ([197.0, 160.0], 1.0, [16, 14]),
-        ([150.0, 150.0], 1.0, [15, 15]),  # equal speeds reduce to the uniform split
-    ):
-        assert hp.multi_cluster_alloc(30, speeds, [alpha], 0.1, [100, 100]) == expected
+
+
+def two_nic_split(layers, ib_tflops, roce_tflops, alpha):
+    """The two-cluster case of multi_cluster_alloc, as an (IB, RoCE) pair."""
+    alloc = hp.multi_cluster_alloc(layers, [ib_tflops, roce_tflops], [alpha], 0.1, [100, 100])
+    return tuple(alloc)
+
+
+def test_two_nic_split_reference_values():
+    assert two_nic_split(30, 197.0, 160.0, 1.05) == (17, 13)
+    assert two_nic_split(30, 197.0, 160.0, 1.0) == (16, 14)
+
+
+def test_two_nic_split_symmetry_reduces_to_uniform():
+    assert two_nic_split(30, 150.0, 150.0, 1.0) == (15, 15)
+
+
+def test_two_nic_split_exact_floor():
+    # 1.05 * 197 / 357 * 30 = 17.382...; floor, never round
+    n_ib, n_roce = two_nic_split(30, 197.0, 160.0, 1.05)
+    assert n_ib == 17 and n_ib + n_roce == 30
 
 
 def test_multi_cluster_alloc_single_cluster_takes_all():
@@ -55,6 +71,15 @@ def test_multi_cluster_alloc_memory_hint_mentions_alpha():
 def test_multi_cluster_alloc_infeasible_alpha():
     with pytest.raises(hp.InfeasibleAlphaError):
         hp.multi_cluster_alloc(10, [100.0, 1.0], [10.0, 1.0], 0.1, [100, 100])
+
+
+def test_multi_cluster_alloc_matches_two_nic_split():
+    # The paper's two-NIC rule: the IB side gets floor(alpha * ib / (ib + roce) * L).
+    for layers in (8, 30, 61):
+        for alpha in (0.8, 1.0, 1.05, 1.2):
+            n_ib = math.floor(alpha * 197.0 / (197.0 + 160.0) * layers)
+            alloc = hp.multi_cluster_alloc(layers, [197.0, 160.0], [alpha], 0.1, [100, 100])
+            assert alloc == [n_ib, layers - n_ib]
 
 
 def test_stages_from_cluster_alloc_two_stages_per_cluster():
