@@ -1,20 +1,28 @@
 """Command-line surface: validate, plan, partition, simulate, compare.
 
 Exit codes: 0 on success, 1 for domain infeasibility, 2 for malformed
-input.  JSON output is UTF-8, key order fixed, newline-terminated, and
-byte-identical across reruns of the same config.  Table output colours
-headers only on a terminal; HOLMES_NO_COLOR=1 disables ANSI entirely.
+input, including an output path that cannot be written.  JSON output is
+UTF-8, key order fixed, newline-terminated, and byte-identical across
+reruns of the same config.  Table output colours headers only on a
+terminal; HOLMES_NO_COLOR=1 disables ANSI entirely.
+
+The ``simulate`` document summarises the iteration and leaves out its
+per-micro-batch events.  ``simulate --trace FILE`` writes those events to
+FILE in Chrome Trace Event Format (compact JSON, one lane per pipeline
+stage, times in microseconds); the file opens in Perfetto or
+``chrome://tracing``.  Standard output is the same with or without it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
 
-from . import planner
+from . import planner, simulator
 from .config import ScenarioConfig, load_scenario
 from .errors import ConfigError, PlannerError
 from .planner import _STRATEGY_NAMES
@@ -124,8 +132,9 @@ def cmd_partition(args) -> int:
     return EXIT_OK
 
 
-def _simulation_doc(scenario: ScenarioConfig, naive: bool) -> dict:
-    report, planned, part = planner.run_scenario(scenario, naive=naive)
+def _simulation_doc(
+    scenario: ScenarioConfig, report, planned, part, naive: bool
+) -> dict:
     rs_entries = planner.scenario_reduce_scatter(scenario, planned, part)
     return {
         "scenario": scenario.name,
@@ -142,7 +151,13 @@ def _simulation_doc(scenario: ScenarioConfig, naive: bool) -> dict:
 
 def cmd_simulate(args) -> int:
     scenario = _load(args.config)
-    doc = _simulation_doc(scenario, naive=args.naive)
+    report, planned, part = planner.run_scenario(scenario, naive=args.naive)
+    doc = _simulation_doc(scenario, report, planned, part, naive=args.naive)
+    if args.csv:
+        _write_file(args.csv, _csv_text([doc]))
+    if args.trace:
+        trace = simulator.chrome_trace(report)
+        _write_file(args.trace, json.dumps(trace, separators=(",", ":")))
     if args.format == "json":
         _emit_json(doc, sys.stdout)
     else:
@@ -158,28 +173,34 @@ def cmd_simulate(args) -> int:
         rows.append(["nic_env", doc["nic_env"]])
         rows.append(["fingerprint", doc["config_fingerprint"][:16]])
         _emit_table(["metric", "value"], rows, sys.stdout)
-    if args.csv:
-        _write_csv(args.csv, [doc])
     return EXIT_OK
 
 
-def _write_csv(path: str, docs: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
+def _write_file(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; an unwritable path is malformed input."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _csv_text(docs: list[dict]) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["scenario", "nic_env", "tflops", "throughput", "reduce_scatter_s"])
+    for doc in docs:
+        rs_max = max((e["seconds"] for e in doc["reduce_scatter"]), default=0.0)
         writer.writerow(
-            ["scenario", "nic_env", "tflops", "throughput", "reduce_scatter_s"]
+            [
+                doc["scenario"],
+                doc["nic_env"],
+                f"{doc['report']['tflops_per_gpu']:.4f}",
+                f"{doc['report']['throughput_samples_per_s']:.4f}",
+                f"{rs_max:.6f}",
+            ]
         )
-        for doc in docs:
-            rs_max = max((e["seconds"] for e in doc["reduce_scatter"]), default=0.0)
-            writer.writerow(
-                [
-                    doc["scenario"],
-                    doc["nic_env"],
-                    f"{doc['report']['tflops_per_gpu']:.4f}",
-                    f"{doc['report']['throughput_samples_per_s']:.4f}",
-                    f"{rs_max:.6f}",
-                ]
-            )
+    return out.getvalue()
 
 
 def cmd_compare(args) -> int:
@@ -224,6 +245,8 @@ def cmd_compare(args) -> int:
                 "reduce_scatter": [e.to_json_dict() for e in rs_entries],
             }
         )
+    if args.csv:
+        _write_file(args.csv, _csv_text(csv_docs))
     if args.format == "json":
         _emit_json({"nodes": nodes, "rows": rows}, sys.stdout)
     else:
@@ -250,8 +273,6 @@ def cmd_compare(args) -> int:
             table,
             sys.stdout,
         )
-    if args.csv:
-        _write_csv(args.csv, csv_docs)
     return EXIT_OK
 
 
@@ -293,12 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
     add("validate", cmd_validate, "check a scenario for feasibility")
     add("plan", cmd_plan, "emit group matrices and channel assignments", naive=True)
     add("partition", cmd_partition, "emit the pipeline layer partition")
-    add(
+    simulate = add(
         "simulate",
         cmd_simulate,
         "predict iteration time, TFLOPS, and throughput",
         naive=True,
         csv_opt=True,
+    )
+    simulate.add_argument(
+        "--trace",
+        metavar="FILE",
+        help=(
+            "also write the iteration's 1F1B timeline to this path as a Chrome "
+            "trace (one lane per stage); it opens in Perfetto or chrome://tracing"
+        ),
     )
     compare = add(
         "compare",

@@ -46,7 +46,8 @@ class NotApplicableError(PlannerError):
 
 
 class ConfigError(PlannerError):
-    """A scenario document is malformed (parse or schema failure)."""
+    """Malformed input: a scenario document that fails to parse or check,
+    or an output path that cannot be written."""
 
     def __init__(self, message, line=None, column=None):
         super().__init__(message)

@@ -19,12 +19,14 @@ Ethernet.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
-from .errors import InvalidPlanError
+from .errors import InvalidPlanError, InvalidRankError
 from .groups import GroupKind, GroupPlan
-from .topology import ClusterTopology, NicKind, NicSpec, coord_of
+from .topology import ClusterTopology, NicKind, NicSpec
 
 
 class Channel(str, Enum):
@@ -130,10 +132,33 @@ def _bottleneck_nic(nics: list[NicSpec]) -> NicSpec:
     )
 
 
+def _cluster_of_rank(topo: ClusterTopology):
+    """Rank -> 1-based cluster index, by bisecting the clusters' last ranks.
+
+    Ranks are numbered cluster by cluster, so cluster i owns the ranks up to
+    and including the i-th running total of its devices.
+    """
+    last_ranks = list(
+        accumulate(topo.gpus_per_node * c.node_count for c in topo.clusters)
+    )
+    total = last_ranks[-1]
+
+    def cluster_of(rank: int) -> int:
+        if not 1 <= rank <= total:
+            raise InvalidRankError(f"rank {rank} out of range 1..{total}")
+        return bisect_left(last_ranks, rank) + 1
+
+    return cluster_of
+
+
 def _inter_node_assignment(
-    kind: GroupKind, row: int, members: tuple[int, ...], topo: ClusterTopology
+    kind: GroupKind,
+    row: int,
+    members: tuple[int, ...],
+    topo: ClusterTopology,
+    cluster_of,
 ) -> ChannelAssignment:
-    clusters = sorted({coord_of(topo, r).cluster for r in members})
+    clusters = sorted({cluster_of(r) for r in members})
     nics = [topo.clusters[c - 1].rdma_nic for c in clusters]
     kinds = {nic.kind for nic in nics}
     if len(clusters) == 1:
@@ -167,13 +192,13 @@ def assign_channels(plan: GroupPlan, topo: ClusterTopology) -> list[ChannelAssig
     """
     if not (plan.tp.rows and plan.pp.rows and plan.dp.rows):
         raise InvalidPlanError("plan has no groups to assign channels to")
+    cluster_of = _cluster_of_rank(topo)
     out: list[ChannelAssignment] = []
     for row, _ in enumerate(plan.tp.rows, start=1):
         out.append(_intra_node_assignment(GroupKind.TP, row, topo))
-    for row, members in enumerate(plan.pp.rows, start=1):
-        out.append(_inter_node_assignment(GroupKind.PP, row, members, topo))
-    for row, members in enumerate(plan.dp.rows, start=1):
-        out.append(_inter_node_assignment(GroupKind.DP, row, members, topo))
+    for kind, matrix in ((GroupKind.PP, plan.pp), (GroupKind.DP, plan.dp)):
+        for row, members in enumerate(matrix.rows, start=1):
+            out.append(_inter_node_assignment(kind, row, members, topo, cluster_of))
     return out
 
 

@@ -106,19 +106,16 @@ class StageEvent:
     start_s: float
     end_s: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "op": self.op,
-            "micro": self.micro,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-        }
-
 
 @dataclass(frozen=True)
 class SimReport:
-    """Predicted timing and rates for one training iteration."""
+    """Predicted timing and rates for one training iteration.
+
+    ``timeline`` holds every scheduled event (2*p*m pipeline operations plus
+    one ``dp_sync`` per stage that synchronises), sorted by start time.  It
+    stays in memory: :meth:`to_json_dict` leaves it out, and
+    :func:`chrome_trace` exports it.
+    """
 
     iter_time_s: float
     tflops_per_gpu: float
@@ -136,8 +133,40 @@ class SimReport:
             "flops_per_iteration": self.flops_per_iteration,
             "micro_batches": self.micro_batches,
             "breakdown": dict(self.breakdown),
-            "timeline": [e.to_json_dict() for e in self.timeline],
         }
+
+
+def chrome_trace(report: SimReport) -> dict:
+    """The timeline in Chrome Trace Event Format, one thread lane per stage.
+
+    Each event becomes a complete (``"ph": "X"``) event with ``ts`` and
+    ``dur`` in microseconds, in timeline order, after one ``thread_name``
+    metadata event per stage.  The result opens in Perfetto or
+    ``chrome://tracing``.
+    """
+    events = [
+        {
+            "ph": "M",
+            "pid": 1,
+            "tid": s,
+            "name": "thread_name",
+            "args": {"name": f"stage {s}"},
+        }
+        for s in sorted({e.stage for e in report.timeline})
+    ]
+    events.extend(
+        {
+            "ph": "X",
+            "pid": 1,
+            "tid": e.stage,
+            "name": e.op if e.op == "dp_sync" else f"{e.op} {e.micro}",
+            "cat": e.op,
+            "ts": e.start_s * 1e6,
+            "dur": (e.end_s - e.start_s) * 1e6,
+        }
+        for e in report.timeline
+    )
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def flops_per_iteration(model: ModelSpec) -> int:

@@ -58,3 +58,36 @@ def test_cli_import_needs_only_the_standard_library():
     assert "holmes_planner.cli" in added
     allowed = sys.stdlib_module_names | {"holmes_planner"}
     assert [m for m in added if m.split(".")[0] not in allowed] == []
+
+
+def test_trace_file_leaves_stdout_unchanged(tmp_path, capsys):
+    path = _write(tmp_path, full_scenario())
+    trace = tmp_path / "trace.json"
+    for fmt in ("json", "table"):
+        argv = ["simulate", "--config", path, "--format", fmt]
+        assert cli.main(argv) == cli.EXIT_OK
+        plain = capsys.readouterr().out
+        assert cli.main([*argv, "--trace", str(trace)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == plain
+        text = trace.read_text(encoding="utf-8")
+        assert "\n" not in text and ", " not in text
+        events = json.loads(text)["traceEvents"]
+        # t=2 p=4 d=2, 64/(2*2) = 16 micro-batches: 2*4*16 pipeline events,
+        # 4 dp_sync events and 4 thread names.
+        assert sum(e["ph"] == "X" for e in events) == 2 * 4 * 16 + 4
+        assert sum(e["ph"] == "M" for e in events) == 4
+
+
+def test_unwritable_output_paths_exit_malformed(tmp_path, capsys):
+    path = _write(tmp_path, full_scenario())
+    absent = str(tmp_path / "absent" / "out")
+    for argv in (
+        ["simulate", "--config", path, "--csv", absent],
+        ["simulate", "--config", path, "--trace", absent],
+        ["compare", "--config", path, "holmes", "naive", "--csv", absent],
+    ):
+        assert cli.main(argv) == cli.EXIT_MALFORMED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {absent}: ")
+        assert captured.err.count("\n") == 1
