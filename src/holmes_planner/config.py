@@ -4,12 +4,14 @@ A scenario file declares the topology, model, parallel degrees, partition
 strategy, and cost-model knobs in one JSON object.  :func:`parse_scenario`
 checks each field where it reads it: counts are integers >= 1 (``true`` and
 ``2.0`` are not), every other number is finite and inside its bound, each
-per-cluster list has one entry per cluster, and a key that is not read is
-rejected, so that a scenario's content hash identifies exactly what was
-simulated.  A failure raises :class:`ConfigError` naming where it sits: a
-missing or unknown key names the object that holds it (``<root>``,
-``topology.clusters.3``), a bad value names its field (``model.layers``),
-and a bad list item adds its 0-based index (``cost.cluster_speeds_tflops.1``).
+per-cluster list has one entry per cluster, pipeline stages times
+micro-batches per replica is at most :data:`MAX_PIPELINE_MICRO_BATCHES`,
+and a key that is not read is rejected, so that a scenario's content hash
+identifies exactly what was simulated.  A failure raises
+:class:`ConfigError` naming where it sits: a missing or unknown key names
+the object that holds it (``<root>``, ``topology.clusters.3``), a bad value
+names its field (``model.layers``), and a bad list item adds its 0-based
+index (``cost.cluster_speeds_tflops.1``).
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ from .topology import (
 )
 
 _REQUIRED = object()
+
+# The most p * micro-batches a scenario may ask for: the 1F1B simulation runs
+# two operations per pair, and the 8192-GPU scenarios ask for 16,384.
+MAX_PIPELINE_MICRO_BATCHES = 2**20
 
 
 def _invalid(path: str, problem: str) -> ConfigError:
@@ -235,6 +241,14 @@ def parse_scenario(doc: dict, raw: bytes, name: str = "scenario") -> ScenarioCon
         data=par_doc.integer("d"),
     )
     par_doc.close()
+    micro_batches = model.global_batch // (model.micro_batch * parallel.data)
+    if parallel.pipeline * micro_batches > MAX_PIPELINE_MICRO_BATCHES:
+        raise _invalid(
+            "model.global_batch",
+            f"expected p * global_batch // (micro_batch * d) <= "
+            f"{MAX_PIPELINE_MICRO_BATCHES}, got {parallel.pipeline} * "
+            f"{micro_batches}",
+        )
 
     m = len(clusters)
     part_doc = root.obj("partition", {})
@@ -280,7 +294,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     try:
         raw = path.read_bytes()
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
         doc = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:

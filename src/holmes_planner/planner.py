@@ -162,12 +162,12 @@ def partition_scenario(
         else:
             speeds = cluster_speeds(topo, scenario.cost)
             m = len(topo.clusters)
-            if settings.cluster_alphas is not None:
-                alphas = list(settings.cluster_alphas)
-                if len(alphas) == m - 1:
-                    alphas.append(1.0)
-            else:
-                alphas = [settings.alpha] * m
+            # multi_cluster_alloc pads an m-1 list for the last cluster.
+            alphas = (
+                list(settings.cluster_alphas)
+                if settings.cluster_alphas is not None
+                else [settings.alpha] * m
+            )
             alloc = partition_mod.multi_cluster_alloc(
                 model.layers, speeds, alphas, mem_per_layer, budgets
             )
@@ -270,8 +270,9 @@ def run_strategy(scenario: ScenarioConfig, name: str):
 
     Channel policies (holmes/naive), partition policies (uniform-partition/
     self-adapting-partition), and NIC-environment variants (ib-only,
-    roce-only, ethernet-only, hybrid) all reduce to a plain run with one
-    input swapped.
+    roce-only, ethernet-only) all reduce to a plain run with one input
+    swapped.  ``hybrid`` is an alias of ``holmes``: the scenario's own mixed
+    NICs, run as given.
     """
     if name not in _STRATEGY_NAMES:
         raise PlannerError(

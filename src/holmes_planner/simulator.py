@@ -1,12 +1,14 @@
-"""Event-driven one-forward-one-backward pipeline simulation with an
-alpha-beta communication cost model.
+"""One-forward-one-backward pipeline simulation with an alpha-beta
+communication cost model.
 
 One training iteration is simulated per stage lane: the devices of a stage
 (tensor shards x data replicas) run the same schedule in lockstep, so a
 single timeline per stage determines the makespan.  The schedule is the
 flush-synchronised 1F1B form: stage s (1-based, p stages) runs
 min(p - s, m) warmup forwards, then alternates forward/backward, then
-drains its remaining backwards.
+drains its remaining backwards.  Each operation starts when its lane is
+free and its input has arrived; one pass in a fixed dependency order
+computes every start and end.
 
 Stage-boundary transfers are modelled as fully overlapped with steady-state
 compute (sends are asynchronous and the next micro-batch's data is
@@ -25,8 +27,10 @@ cost nothing for single-member groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 
 from .errors import (
     InconsistentPlanError,
@@ -113,8 +117,9 @@ class SimReport:
 
     ``timeline`` holds every scheduled event (2*p*m pipeline operations plus
     one ``dp_sync`` per stage that synchronises), sorted by start time.  It
-    stays in memory: :meth:`to_json_dict` leaves it out, and
-    :func:`chrome_trace` exports it.
+    is built on first read, by running the schedule pass again from the
+    per-stage times the report keeps; :meth:`to_json_dict` leaves it out,
+    and :func:`chrome_trace` exports it.
     """
 
     iter_time_s: float
@@ -123,7 +128,14 @@ class SimReport:
     flops_per_iteration: float
     micro_batches: int
     breakdown: dict[str, float]
-    timeline: tuple[StageEvent, ...]
+    # Per-stage forward, backward and dp_sync seconds, then the hop seconds.
+    _stages: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], float] = (
+        field(repr=False, compare=False)
+    )
+
+    @cached_property
+    def timeline(self) -> tuple[StageEvent, ...]:
+        return _timeline(self._stages, self.micro_batches)
 
     def to_json_dict(self) -> dict:
         return {
@@ -375,15 +387,93 @@ def _stage_costs(
     return out
 
 
-def _schedule_ops(p: int, stage: int, m_total: int) -> list[tuple[str, int]]:
-    """The fixed 1F1B op order for one stage: warmup, steady pairs, drain."""
-    warmup = min(p - stage, m_total)
-    ops: list[tuple[str, int]] = [("fwd", k) for k in range(1, warmup + 1)]
-    for i in range(1, m_total - warmup + 1):
-        ops.append(("fwd", warmup + i))
-        ops.append(("bwd", i))
-    ops.extend(("bwd", k) for k in range(m_total - warmup + 1, m_total + 1))
-    return ops
+def _schedule(
+    t_fwd: tuple[float, ...], t_bwd: tuple[float, ...], hop: float, m: int
+) -> tuple[list[list[float]], list[list[float]], list[list[float]], list[list[float]]]:
+    """Start and end seconds of every 1F1B operation, in one pass.
+
+    Returns forward starts, forward ends, backward starts and backward ends,
+    each indexed [stage - 1][micro - 1].  An operation starts at the later
+    of its lane becoming free and its input arriving: a forward's from the
+    previous stage, a backward's from the next stage, or from its own
+    forward on the last stage.
+
+    Stage s (0-based) runs w = min(p-1-s, m) warmup forwards, then
+    alternates forward and backward, then drains; at op position j it runs
+
+    - warmup forward j while j < w,
+    - drain backward j - m once j >= 2m - w,
+    - in between, forward (j + w) / 2 when j - w is even and backward
+      (j - w - 1) / 2 when it is odd.
+
+    A forward's input sits at a position <= j of the stage before it and a
+    backward's at a position <= j of the stage after it (or earlier on its
+    own lane), so taking positions in order, forwards in ascending stage
+    order and then backwards in descending stage order, computes every
+    input before it is read.
+    """
+    p = len(t_fwd)
+    last = p - 1
+    fwd_start = [[0.0] * m for _ in range(p)]
+    fwd_end = [[0.0] * m for _ in range(p)]
+    bwd_start = [[0.0] * m for _ in range(p)]
+    bwd_end = [[0.0] * m for _ in range(p)]
+    lane = [0.0] * p
+    for j in range(2 * m):
+        # From stage lo up, stages are past warmup and before the drain at j,
+        # so every other one runs a forward and the rest a backward.
+        lo = max(last - j, last + j + 1 - 2 * m, last + 1 - m, 0)
+        odd = (lo + j - last) & 1  # 1 when stage lo runs a backward
+        warmup = range(last - j) if j < m else range(0)
+        drain = range(max(last - m, last + j - 2 * m) + 1) if j >= m else range(0)
+        for s in chain(warmup, range(lo + odd, p, 2)):
+            k = j if s < lo else (j + last - s) >> 1
+            start = lane[s]
+            if s:
+                # Hop time is exposed on the pipeline fill only; later
+                # forwards arrive under cover of the previous compute.
+                ready = fwd_end[s - 1][k] + hop if k == 0 else fwd_end[s - 1][k]
+                if ready > start:
+                    start = ready
+            fwd_start[s][k] = start
+            lane[s] = fwd_end[s][k] = start + t_fwd[s]
+        for s in chain(reversed(range(lo + 1 - odd, p, 2)), reversed(drain)):
+            k = (j - last + s - 1) >> 1 if s >= lo else j - m
+            if s < last:  # the hop is exposed again on the drain
+                ready = bwd_end[s + 1][k] + hop if k == m - 1 else bwd_end[s + 1][k]
+            else:
+                ready = fwd_end[s][k]
+            start = lane[s]
+            if ready > start:
+                start = ready
+            bwd_start[s][k] = start
+            lane[s] = bwd_end[s][k] = start + t_bwd[s]
+    return fwd_start, fwd_end, bwd_start, bwd_end
+
+
+def _iteration_time(stages, m: int) -> float:
+    """Seconds until the last stage finishes its gradient synchronisation."""
+    t_fwd, t_bwd, dp_sync, hop = stages
+    bwd_end = _schedule(t_fwd, t_bwd, hop, m)[3]
+    # A stage synchronises once its last backward, micro-batch m, ends.
+    return max(ends[-1] + dp for ends, dp in zip(bwd_end, dp_sync))
+
+
+def _timeline(stages, m: int) -> tuple[StageEvent, ...]:
+    """Every operation of the pass as a :class:`StageEvent`, by start time."""
+    t_fwd, t_bwd, dp_sync, hop = stages
+    fwd_start, fwd_end, bwd_start, bwd_end = _schedule(t_fwd, t_bwd, hop, m)
+    events: list[StageEvent] = []
+    for s in range(len(t_fwd)):
+        stage = s + 1
+        for k in range(m):
+            events.append(StageEvent(stage, "fwd", k + 1, fwd_start[s][k], fwd_end[s][k]))
+            events.append(StageEvent(stage, "bwd", k + 1, bwd_start[s][k], bwd_end[s][k]))
+        if dp_sync[s] > 0.0:
+            flush = bwd_end[s][-1]
+            events.append(StageEvent(stage, "dp_sync", 0, flush, flush + dp_sync[s]))
+    events.sort(key=lambda e: (e.start_s, e.stage, e.op, e.micro))
+    return tuple(events)
 
 
 def simulate_iteration(
@@ -395,7 +485,7 @@ def simulate_iteration(
     model: ModelSpec,
     cost: CostModel,
 ) -> SimReport:
-    """Run the 1F1B schedule event by event and report iteration metrics.
+    """Run the 1F1B schedule and report iteration metrics.
 
     The plan must have been channel-assigned for this topology and the
     partition must cover the configured pipeline depth; shape mismatches
@@ -429,57 +519,13 @@ def simulate_iteration(
     pp_channel = chans[(GroupKind.PP, 1)]
     hop = cost.comm(_activation_bytes(model), pp_channel) if p > 1 else 0.0
 
-    fwd_end = [[0.0] * (m_total + 1) for _ in range(p + 1)]
-    bwd_end = [[0.0] * (m_total + 1) for _ in range(p + 1)]
-    fwd_seen = [[False] * (m_total + 1) for _ in range(p + 1)]
-    bwd_seen = [[False] * (m_total + 1) for _ in range(p + 1)]
-    lane_time = [0.0] * (p + 1)
-    queues = {s: _schedule_ops(p, s, m_total) for s in range(1, p + 1)}
-    heads = {s: 0 for s in range(1, p + 1)}
-    events: list[StageEvent] = []
-
-    remaining = sum(len(q) for q in queues.values())
-    while remaining:
-        progressed = False
-        for s in range(1, p + 1):
-            while heads[s] < len(queues[s]):
-                op, k = queues[s][heads[s]]
-                if op == "fwd":
-                    if s > 1 and not fwd_seen[s - 1][k]:
-                        break
-                    # Hop time is exposed on the pipeline fill only; later
-                    # forwards arrive under cover of the previous compute.
-                    delay = hop if k == 1 else 0.0
-                    ready = fwd_end[s - 1][k] + delay if s > 1 else 0.0
-                    duration = costs[s - 1].t_fwd
-                else:
-                    if s < p and not bwd_seen[s + 1][k]:
-                        break
-                    delay = hop if k == m_total else 0.0  # exposed on the drain
-                    ready = bwd_end[s + 1][k] + delay if s < p else fwd_end[s][k]
-                    duration = costs[s - 1].t_bwd
-                start = max(lane_time[s], ready)
-                end = start + duration
-                if op == "fwd":
-                    fwd_end[s][k], fwd_seen[s][k] = end, True
-                else:
-                    bwd_end[s][k], bwd_seen[s][k] = end, True
-                lane_time[s] = end
-                events.append(StageEvent(s, op, k, start, end))
-                heads[s] += 1
-                remaining -= 1
-                progressed = True
-        if not progressed:
-            raise InconsistentPlanError("schedule deadlocked; dependency cycle")
-
-    completions = []
-    for s in range(1, p + 1):
-        flush_done = bwd_end[s][m_total]
-        dp_time = costs[s - 1].dp_sync
-        if dp_time > 0.0:
-            events.append(StageEvent(s, "dp_sync", 0, flush_done, flush_done + dp_time))
-        completions.append(flush_done + dp_time)
-    iter_time = max(completions)
+    stages = (
+        tuple(c.t_fwd for c in costs),
+        tuple(c.t_bwd for c in costs),
+        tuple(c.dp_sync for c in costs),
+        hop,
+    )
+    iter_time = _iteration_time(stages, m_total)
 
     total = flops_per_iteration(model)
     tflops, throughput = metrics(total, iter_time, topo.total_devices, model.global_batch)
@@ -491,9 +537,6 @@ def simulate_iteration(
         "dp_sync": max(c.dp_sync for c in costs),
         "tp_collectives": max(m_total * (c.tp_fwd + c.tp_bwd) for c in costs),
     }
-    timeline = tuple(
-        sorted(events, key=lambda e: (e.start_s, e.stage, e.op, e.micro))
-    )
     return SimReport(
         iter_time_s=iter_time,
         tflops_per_gpu=tflops,
@@ -501,7 +544,7 @@ def simulate_iteration(
         flops_per_iteration=total,
         micro_batches=m_total,
         breakdown=breakdown,
-        timeline=timeline,
+        _stages=stages,
     )
 
 

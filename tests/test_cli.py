@@ -34,8 +34,11 @@ def test_degree_product_diagnostic_exits_infeasible(tmp_path, capsys):
 
 
 def test_unreadable_and_undecodable_files_exit_malformed(tmp_path, capsys):
-    assert cli.main(["validate", "--config", str(tmp_path / "absent.json")]) == 2
-    assert "cannot read" in capsys.readouterr().err
+    absent = tmp_path / "absent.json"
+    assert cli.main(["validate", "--config", str(absent)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {absent}: No such file or directory\n"
+    )
     bad = tmp_path / "bad.json"
     bad.write_text("{\"topology\": ", encoding="utf-8")
     assert cli.main(["validate", "--config", str(bad)]) == 2

@@ -80,6 +80,8 @@ CASES = {
     "model-negative-default-field": (("model", "vocab"), -1, "model.vocab"),
     "model-nan": (("model", "per_layer_mem_gb"), NAN, "model.per_layer_mem_gb"),
     "model-zero-memory": (("model", "per_layer_mem_gb"), 0, "model.per_layer_mem_gb"),
+    # p=4, micro_batch=2, d=2: 4 * 2**20 micro-batches, parsed and never simulated.
+    "model-unbounded-work": (("model", "global_batch"), 2**23, "model.global_batch"),
     "parallel-unknown": (("parallel", "extra"), 1, "parallel"),
     "parallel-missing": (("parallel", "d"), DELETE, "parallel"),
     "parallel-wrong-type": (("parallel", "p"), "4", "parallel.p"),

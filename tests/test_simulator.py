@@ -3,11 +3,12 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import holmes_planner as hp
 from helpers import single_topo, small_model, uniform_plan
-from holmes_planner import cli, planner
-from holmes_planner.simulator import chrome_trace
+from holmes_planner import cli, planner, simulator
+from holmes_planner.simulator import StageEvent, chrome_trace
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = sorted(p.name for p in SCENARIOS.glob("*.json"))
@@ -154,3 +155,111 @@ def test_simulate_document_has_no_timeline(capsys):
         "micro_batches",
         "breakdown",
     ]
+
+
+def _reference(t_fwd, t_bwd, dp_sync, hop, m_total):
+    """The scan-until-progress event loop the schedule pass replaced.
+
+    Each sweep runs every stage's 1F1B op list as far as its inputs allow
+    and repeats until all ops ran.  Returns the sorted timeline and the
+    iteration time.
+    """
+    p = len(t_fwd)
+
+    def schedule_ops(stage):
+        warmup = min(p - stage, m_total)
+        ops = [("fwd", k) for k in range(1, warmup + 1)]
+        for i in range(1, m_total - warmup + 1):
+            ops.append(("fwd", warmup + i))
+            ops.append(("bwd", i))
+        ops.extend(("bwd", k) for k in range(m_total - warmup + 1, m_total + 1))
+        return ops
+
+    fwd_end = [[0.0] * (m_total + 1) for _ in range(p + 1)]
+    bwd_end = [[0.0] * (m_total + 1) for _ in range(p + 1)]
+    fwd_seen = [[False] * (m_total + 1) for _ in range(p + 1)]
+    bwd_seen = [[False] * (m_total + 1) for _ in range(p + 1)]
+    lane_time = [0.0] * (p + 1)
+    queues = {s: schedule_ops(s) for s in range(1, p + 1)}
+    heads = {s: 0 for s in range(1, p + 1)}
+    events = []
+    remaining = sum(len(q) for q in queues.values())
+    while remaining:
+        progressed = False
+        for s in range(1, p + 1):
+            while heads[s] < len(queues[s]):
+                op, k = queues[s][heads[s]]
+                if op == "fwd":
+                    if s > 1 and not fwd_seen[s - 1][k]:
+                        break
+                    delay = hop if k == 1 else 0.0
+                    ready = fwd_end[s - 1][k] + delay if s > 1 else 0.0
+                    duration = t_fwd[s - 1]
+                else:
+                    if s < p and not bwd_seen[s + 1][k]:
+                        break
+                    delay = hop if k == m_total else 0.0
+                    ready = bwd_end[s + 1][k] + delay if s < p else fwd_end[s][k]
+                    duration = t_bwd[s - 1]
+                start = max(lane_time[s], ready)
+                end = start + duration
+                if op == "fwd":
+                    fwd_end[s][k], fwd_seen[s][k] = end, True
+                else:
+                    bwd_end[s][k], bwd_seen[s][k] = end, True
+                lane_time[s] = end
+                events.append(StageEvent(s, op, k, start, end))
+                heads[s] += 1
+                remaining -= 1
+                progressed = True
+        assert progressed, "schedule deadlocked"
+
+    completions = []
+    for s in range(1, p + 1):
+        flush_done = bwd_end[s][m_total]
+        dp_time = dp_sync[s - 1]
+        if dp_time > 0.0:
+            events.append(StageEvent(s, "dp_sync", 0, flush_done, flush_done + dp_time))
+        completions.append(flush_done + dp_time)
+    timeline = tuple(sorted(events, key=lambda e: (e.start_s, e.stage, e.op, e.micro)))
+    return timeline, max(completions)
+
+
+_SECONDS = st.floats(min_value=1e-6, max_value=10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.integers(1, 12),
+    m=st.integers(1, 40),
+    data=st.data(),
+    hop=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)),
+)
+def test_schedule_pass_equals_the_scan_loop_exactly(p, m, data, hop):
+    times = st.lists(_SECONDS, min_size=p, max_size=p).map(tuple)
+    syncs = st.lists(st.one_of(st.just(0.0), _SECONDS), min_size=p, max_size=p)
+    stages = (data.draw(times), data.draw(times), tuple(data.draw(syncs)), hop)
+    report = simulator.SimReport(
+        iter_time_s=simulator._iteration_time(stages, m),
+        tflops_per_gpu=0.0,
+        throughput_samples_per_s=0.0,
+        flops_per_iteration=0.0,
+        micro_batches=m,
+        breakdown={},
+        _stages=stages,
+    )
+    timeline, iter_time = _reference(*stages, m)
+    assert report.iter_time_s == iter_time
+    assert report.timeline == timeline
+
+
+def test_timeline_is_built_on_first_read():
+    scenario, report = _shipped("mixed_nic_16gpu.json")
+    report.to_json_dict()
+    assert "timeline" not in report.__dict__
+    p, m = scenario.parallel.pipeline, report.micro_batches
+    timeline = report.timeline
+    assert report.__dict__["timeline"] is timeline
+    dp_sync = [e for e in timeline if e.op == "dp_sync"]
+    assert 0 < len(dp_sync) <= p
+    assert len(timeline) == 2 * p * m + len(dp_sync)
