@@ -37,6 +37,7 @@ COMMANDS = {
     "validate": ("validate",),
     "plan": ("plan",),
     "plan --naive": ("plan", "--naive"),
+    "plan --format table": ("plan", "--format", "table"),
     "partition": ("partition",),
     "simulate": ("simulate",),
     "simulate --naive": ("simulate", "--naive"),
