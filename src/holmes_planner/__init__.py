@@ -8,7 +8,6 @@ from .errors import (
     InconsistentPlanError,
     InfeasibleAlphaError,
     InfeasibleConfigError,
-    InvalidCoordinateError,
     InvalidDeviceError,
     InvalidPlanError,
     InvalidRankError,
@@ -23,23 +22,17 @@ from .groups import (
     GroupMatrix,
     GroupPlan,
     ParallelConfig,
-    build_dp,
     build_plan,
-    build_pp,
-    build_tp,
-    plan_from_json_dict,
     validate,
 )
 from .nic_select import (
     Channel,
     ChannelAssignment,
     ClusterOrdering,
-    apply_ordering,
     assign_channels,
     channel_map,
     naive_channels,
     normalize_topology,
-    order_clusters,
 )
 from .partition import (
     ModelSpec,
@@ -76,12 +69,8 @@ from .simulator import (
 from .topology import (
     Cluster,
     ClusterTopology,
-    DeviceCoord,
     NicKind,
     NicSpec,
-    coord_of,
-    nic_of_rank,
-    rank_of,
 )
 
 __version__ = "0.1.0"

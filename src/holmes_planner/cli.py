@@ -59,12 +59,8 @@ def _emit_table(headers: list[str], rows: list[list], stream) -> None:
         stream.write("  ".join(c.ljust(w) for c, w in zip(row, widths)) + "\n")
 
 
-def _load(path: str) -> ScenarioConfig:
-    return load_scenario(path)
-
-
 def cmd_validate(args) -> int:
-    scenario = _load(args.config)
+    scenario = load_scenario(args.config)
     diags = planner.scenario_diagnostics(scenario)
     for diag in diags:
         print(str(diag))
@@ -75,7 +71,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    scenario = _load(args.config)
+    scenario = load_scenario(args.config)
     diags = planner.scenario_diagnostics(scenario)
     if diags:
         for diag in diags:
@@ -86,10 +82,9 @@ def cmd_plan(args) -> int:
         _emit_json(result.to_json_dict(), sys.stdout)
     else:
         rows = []
-        for kind in ("tp", "pp", "dp"):
-            matrix = result.plan.matrix(result.plan.tp.kind.__class__(kind))
+        for matrix in (result.plan.tp, result.plan.pp, result.plan.dp):
             for i, members in enumerate(matrix.rows, start=1):
-                rows.append([kind, i, " ".join(str(r) for r in members)])
+                rows.append([matrix.kind.value, i, " ".join(str(r) for r in members)])
         _emit_table(["kind", "row", "ranks"], rows, sys.stdout)
         chan_rows = [
             [
@@ -111,7 +106,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    scenario = _load(args.config)
+    scenario = load_scenario(args.config)
     diags = planner.scenario_diagnostics(scenario)
     if diags:
         for diag in diags:
@@ -150,7 +145,7 @@ def _simulation_doc(
 
 
 def cmd_simulate(args) -> int:
-    scenario = _load(args.config)
+    scenario = load_scenario(args.config)
     report, planned, part = planner.run_scenario(scenario, naive=args.naive)
     doc = _simulation_doc(scenario, report, planned, part, naive=args.naive)
     if args.csv:
@@ -215,7 +210,7 @@ def cmd_compare(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_INFEASIBLE
-    scenario = _load(args.config)
+    scenario = load_scenario(args.config)
     rows, csv_docs = [], []
     nodes = scenario.topology.total_nodes
     baseline_throughput = None

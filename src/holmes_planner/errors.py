@@ -9,10 +9,6 @@ class TopologyError(PlannerError):
     """A topology value violates a structural invariant."""
 
 
-class InvalidCoordinateError(PlannerError):
-    """A device coordinate is out of range; the message names the field."""
-
-
 class InvalidRankError(PlannerError):
     """A global rank is outside 1..N."""
 

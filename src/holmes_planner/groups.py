@@ -95,66 +95,36 @@ class Diagnostic:
         return f"{self.code}: {self.message}"
 
 
-def _check_degree_product(cfg: ParallelConfig, topo: ClusterTopology):
+def build_plan(cfg: ParallelConfig, topo: ClusterTopology) -> GroupPlan:
+    """All three matrices, from the rank equations in the module docstring.
+
+    Every tensor row must stay inside one node, so ``tensor`` has to divide
+    ``gpus_per_node``.
+    """
     if cfg.world_size != topo.total_devices:
         raise InfeasibleConfigError(
             f"degree product {cfg.tensor}*{cfg.pipeline}*{cfg.data}={cfg.world_size} "
             f"does not equal device count {topo.total_devices}"
         )
-
-
-def build_tp(cfg: ParallelConfig, topo: ClusterTopology) -> GroupMatrix:
-    """Tensor groups: pipeline*data rows of ``tensor`` consecutive ranks.
-
-    Every row must stay inside one node, so ``tensor`` has to divide
-    ``gpus_per_node``.
-    """
-    _check_degree_product(cfg, topo)
-    t = cfg.tensor
+    t, p = cfg.tensor, cfg.pipeline
     if topo.gpus_per_node % t != 0:
         raise InfeasibleConfigError(
             f"tensor degree {t} does not divide gpus_per_node "
             f"{topo.gpus_per_node}; tensor groups would straddle nodes"
         )
-    rows = tuple(
-        tuple((i - 1) * t + j for j in range(1, t + 1))
-        for i in range(1, cfg.pipeline * cfg.data + 1)
+    n, block = cfg.world_size, cfg.stage_block_size()
+    tp = tuple(tuple(range(i, i + t)) for i in range(1, n + 1, t))
+    pp = tuple(tuple(range(i, n + 1, block)) for i in range(1, block + 1))
+    dp = tuple(
+        tuple(range(s * block + k + 1, (s + 1) * block + 1, t))
+        for s in range(p)
+        for k in range(t)
     )
-    return GroupMatrix(GroupKind.TP, rows)
-
-
-def build_pp(cfg: ParallelConfig, topo: ClusterTopology) -> GroupMatrix:
-    """Pipeline groups: tensor*data rows; column j is the stage-j member."""
-    _check_degree_product(cfg, topo)
-    block = cfg.stage_block_size()
-    rows = tuple(
-        tuple(i + (j - 1) * block for j in range(1, cfg.pipeline + 1))
-        for i in range(1, block + 1)
-    )
-    return GroupMatrix(GroupKind.PP, rows)
-
-
-def build_dp(cfg: ParallelConfig, topo: ClusterTopology) -> GroupMatrix:
-    """Data groups: pipeline*tensor rows of ``data`` ranks within one stage."""
-    _check_degree_product(cfg, topo)
-    t, d = cfg.tensor, cfg.data
-    rows = tuple(
-        tuple(
-            (i - 1) % t + (((i - 1) // t) * d + j - 1) * t + 1
-            for j in range(1, d + 1)
-        )
-        for i in range(1, cfg.pipeline * t + 1)
-    )
-    return GroupMatrix(GroupKind.DP, rows)
-
-
-def build_plan(cfg: ParallelConfig, topo: ClusterTopology) -> GroupPlan:
-    """All three matrices at once."""
     return GroupPlan(
         config=cfg,
-        tp=build_tp(cfg, topo),
-        pp=build_pp(cfg, topo),
-        dp=build_dp(cfg, topo),
+        tp=GroupMatrix(GroupKind.TP, tp),
+        pp=GroupMatrix(GroupKind.PP, pp),
+        dp=GroupMatrix(GroupKind.DP, dp),
     )
 
 
@@ -203,38 +173,3 @@ def validate(cfg: ParallelConfig, topo: ClusterTopology) -> list[Diagnostic]:
             )
     return diags
 
-
-def plan_from_json_dict(doc: dict) -> GroupPlan:
-    """Rebuild a plan from its serialized form, checking matrix shapes."""
-    try:
-        tp_rows = tuple(tuple(int(r) for r in row) for row in doc["tp"])
-        pp_rows = tuple(tuple(int(r) for r in row) for row in doc["pp"])
-        dp_rows = tuple(tuple(int(r) for r in row) for row in doc["dp"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InfeasibleConfigError(f"malformed plan document: {exc}") from exc
-    if not (tp_rows and pp_rows and dp_rows):
-        raise InfeasibleConfigError("plan document has an empty matrix")
-    cfg = ParallelConfig(
-        tensor=len(tp_rows[0]), pipeline=len(pp_rows[0]), data=len(dp_rows[0])
-    )
-    shapes = {
-        GroupKind.TP: (cfg.pipeline * cfg.data, cfg.tensor, tp_rows),
-        GroupKind.PP: (cfg.tensor * cfg.data, cfg.pipeline, pp_rows),
-        GroupKind.DP: (cfg.pipeline * cfg.tensor, cfg.data, dp_rows),
-    }
-    for kind, (n_rows, degree, rows) in shapes.items():
-        if len(rows) != n_rows or any(len(row) != degree for row in rows):
-            raise InfeasibleConfigError(
-                f"{kind.value} matrix shape is not {n_rows}x{degree}"
-            )
-        members = sorted(r for row in rows for r in row)
-        if members != list(range(1, cfg.world_size + 1)):
-            raise InfeasibleConfigError(
-                f"{kind.value} matrix rows do not partition ranks 1..{cfg.world_size}"
-            )
-    return GroupPlan(
-        config=cfg,
-        tp=GroupMatrix(GroupKind.TP, tp_rows),
-        pp=GroupMatrix(GroupKind.PP, pp_rows),
-        dp=GroupMatrix(GroupKind.DP, dp_rows),
-    )

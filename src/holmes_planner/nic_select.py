@@ -11,20 +11,18 @@ Every parallel group then receives its own communication channel:
 * data groups use the RDMA NIC of the cluster they live in; groups forced
   to span incompatible NICs fall back to Ethernet with a warning.
 
-``naive_channels`` models the single-communication-environment baseline
-where one incompatible cluster demotes every inter-node channel to
-Ethernet.
+``naive_channels`` models the single-communication-environment baseline:
+it runs the same assignment loop, but once two clusters disagree on NIC
+kind every inter-node channel is demoted to Ethernet.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 
-from .errors import InvalidPlanError, InvalidRankError
+from .errors import InvalidPlanError
 from .groups import GroupKind, GroupPlan
 from .topology import ClusterTopology, NicKind, NicSpec
 
@@ -77,29 +75,19 @@ class ClusterOrdering:
     ib_cluster_count: int
 
 
-def order_clusters(topo: ClusterTopology) -> ClusterOrdering:
-    """Stable IB-first, then RoCE, then Ethernet-only ordering."""
-    order = tuple(
-        c.index
-        for c in sorted(topo.clusters, key=lambda c: _KIND_SORT_ORDER[c.rdma_nic.kind])
-    )
-    ib = sum(1 for c in topo.clusters if c.rdma_nic.kind is NicKind.INFINIBAND)
-    return ClusterOrdering(order=order, ib_cluster_count=ib)
-
-
-def apply_ordering(topo: ClusterTopology, ordering: ClusterOrdering) -> ClusterTopology:
-    """Renumber clusters along ``ordering`` so ranks follow the IB-first layout."""
-    clusters = tuple(
-        dataclasses.replace(topo.clusters[old - 1], index=new)
-        for new, old in enumerate(ordering.order, start=1)
-    )
-    return topo.with_clusters(clusters)
-
-
 def normalize_topology(topo: ClusterTopology) -> tuple[ClusterTopology, ClusterOrdering]:
-    """Order clusters and return the renumbered topology with the permutation."""
-    ordering = order_clusters(topo)
-    return apply_ordering(topo, ordering), ordering
+    """Order clusters stably IB-first, then RoCE, then Ethernet-only.
+
+    Returns the topology with its clusters renumbered along that order, so
+    ranks follow the IB-first layout, and the permutation itself.
+    """
+    ordered = sorted(topo.clusters, key=lambda c: _KIND_SORT_ORDER[c.rdma_nic.kind])
+    clusters = tuple(
+        dataclasses.replace(c, index=new) for new, c in enumerate(ordered, start=1)
+    )
+    ib = sum(1 for c in ordered if c.rdma_nic.kind is NicKind.INFINIBAND)
+    ordering = ClusterOrdering(order=tuple(c.index for c in ordered), ib_cluster_count=ib)
+    return topo.with_clusters(clusters), ordering
 
 
 def _intra_node_assignment(kind: GroupKind, row: int, topo: ClusterTopology):
@@ -132,33 +120,14 @@ def _bottleneck_nic(nics: list[NicSpec]) -> NicSpec:
     )
 
 
-def _cluster_of_rank(topo: ClusterTopology):
-    """Rank -> 1-based cluster index, by bisecting the clusters' last ranks.
-
-    Ranks are numbered cluster by cluster, so cluster i owns the ranks up to
-    and including the i-th running total of its devices.
-    """
-    last_ranks = list(
-        accumulate(topo.gpus_per_node * c.node_count for c in topo.clusters)
-    )
-    total = last_ranks[-1]
-
-    def cluster_of(rank: int) -> int:
-        if not 1 <= rank <= total:
-            raise InvalidRankError(f"rank {rank} out of range 1..{total}")
-        return bisect_left(last_ranks, rank) + 1
-
-    return cluster_of
-
-
 def _inter_node_assignment(
     kind: GroupKind,
     row: int,
     members: tuple[int, ...],
     topo: ClusterTopology,
-    cluster_of,
+    cluster_index,
 ) -> ChannelAssignment:
-    clusters = sorted({cluster_of(r) for r in members})
+    clusters = sorted({cluster_index(r) for r in members})
     nics = [topo.clusters[c - 1].rdma_nic for c in clusters]
     kinds = {nic.kind for nic in nics}
     if len(clusters) == 1:
@@ -183,6 +152,21 @@ def _inter_node_assignment(
     return _from_nic(kind, row, _bottleneck_nic(nics))
 
 
+def _assign(plan: GroupPlan, topo: ClusterTopology, inter_node) -> list[ChannelAssignment]:
+    """Tensor rows on the intra-node link, then ``inter_node(kind, row,
+    members)`` for every pipeline and data row."""
+    if not (plan.tp.rows and plan.pp.rows and plan.dp.rows):
+        raise InvalidPlanError("plan has no groups to assign channels to")
+    out = [
+        _intra_node_assignment(GroupKind.TP, row, topo)
+        for row in range(1, len(plan.tp.rows) + 1)
+    ]
+    for kind, matrix in ((GroupKind.PP, plan.pp), (GroupKind.DP, plan.dp)):
+        for row, members in enumerate(matrix.rows, start=1):
+            out.append(inter_node(kind, row, members))
+    return out
+
+
 def assign_channels(plan: GroupPlan, topo: ClusterTopology) -> list[ChannelAssignment]:
     """One independent channel per group row, NIC-aware.
 
@@ -190,16 +174,14 @@ def assign_channels(plan: GroupPlan, topo: ClusterTopology) -> list[ChannelAssig
     degenerate plans the data-group fallbacks (Ethernet plus warning) keep
     the assignment total rather than failing.
     """
-    if not (plan.tp.rows and plan.pp.rows and plan.dp.rows):
-        raise InvalidPlanError("plan has no groups to assign channels to")
-    cluster_of = _cluster_of_rank(topo)
-    out: list[ChannelAssignment] = []
-    for row, _ in enumerate(plan.tp.rows, start=1):
-        out.append(_intra_node_assignment(GroupKind.TP, row, topo))
-    for kind, matrix in ((GroupKind.PP, plan.pp), (GroupKind.DP, plan.dp)):
-        for row, members in enumerate(matrix.rows, start=1):
-            out.append(_inter_node_assignment(kind, row, members, topo, cluster_of))
-    return out
+    cluster_index = topo.cluster_index
+    return _assign(
+        plan,
+        topo,
+        lambda kind, row, members: _inter_node_assignment(
+            kind, row, members, topo, cluster_index
+        ),
+    )
 
 
 def naive_channels(plan: GroupPlan, topo: ClusterTopology) -> list[ChannelAssignment]:
@@ -211,15 +193,7 @@ def naive_channels(plan: GroupPlan, topo: ClusterTopology) -> list[ChannelAssign
     """
     if len(topo.nic_kinds()) <= 1:
         return assign_channels(plan, topo)
-    if not (plan.tp.rows and plan.pp.rows and plan.dp.rows):
-        raise InvalidPlanError("plan has no groups to assign channels to")
-    out: list[ChannelAssignment] = []
-    for row, _ in enumerate(plan.tp.rows, start=1):
-        out.append(_intra_node_assignment(GroupKind.TP, row, topo))
-    for kind, matrix in ((GroupKind.PP, plan.pp), (GroupKind.DP, plan.dp)):
-        for row, _ in enumerate(matrix.rows, start=1):
-            out.append(_from_nic(kind, row, topo.ethernet))
-    return out
+    return _assign(plan, topo, lambda kind, row, _: _from_nic(kind, row, topo.ethernet))
 
 
 def channel_map(

@@ -183,11 +183,10 @@ def stages_from_cluster_alloc(
     cluster_alloc: list[int],
     cfg: ParallelConfig,
     topo: ClusterTopology,
-    strategy: PartitionStrategy = PartitionStrategy.SELF_ADAPTING,
     alphas: tuple[float, ...] | None = None,
-    plan_warnings: tuple[str, ...] = (),
 ) -> PartitionPlan:
-    """Spread each cluster's layer total uniformly over its pipeline stages.
+    """A self-adapting plan: each cluster's layer total spread uniformly
+    over its pipeline stages.
 
     Stage order follows rank order, so cluster 1's stages come first.  Every
     cluster must host a whole number of stages (the straddle check in
@@ -219,9 +218,8 @@ def stages_from_cluster_alloc(
             f"topology yields {len(stage_layers)} stages, config wants {cfg.pipeline}"
         )
     return PartitionPlan(
-        strategy=strategy,
+        strategy=PartitionStrategy.SELF_ADAPTING,
         stage_layers=tuple(stage_layers),
         cluster_layers=tuple(cluster_alloc),
         alphas=alphas,
-        warnings=plan_warnings,
     )

@@ -175,7 +175,6 @@ def partition_scenario(
                 alloc,
                 cfg,
                 topo,
-                strategy=PartitionStrategy.SELF_ADAPTING,
                 alphas=tuple(alphas[: m - 1]),  # the last cluster takes the remainder
             )
         for w in caught:

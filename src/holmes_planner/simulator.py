@@ -28,9 +28,10 @@ cost nothing for single-member groups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (
     InconsistentPlanError,
@@ -100,8 +101,7 @@ class CostModel:
         return self.eta * device_tflops_peak
 
 
-@dataclass(frozen=True)
-class StageEvent:
+class StageEvent(NamedTuple):
     """One scheduled operation on a stage lane."""
 
     stage: int
@@ -184,7 +184,8 @@ def chrome_trace(report: SimReport) -> dict:
 def flops_per_iteration(model: ModelSpec) -> int:
     """Total forward+backward FLOPs for one iteration over the global batch.
 
-    96 * B * s * L * h^2 * (1 + s/(6h) + V/(16*L*h)), evaluated exactly.
+    96 * B * s * L * h^2 * (1 + s/(6h) + V/(16*L*h)), expanded so that every
+    term is an integer: 96*B*s*L*h^2 + 16*B*s^2*L*h + 6*B*s*h*V.
     """
     b, s, layers, h, v = (
         model.global_batch,
@@ -193,9 +194,7 @@ def flops_per_iteration(model: ModelSpec) -> int:
         model.hidden,
         model.vocab,
     )
-    base = Fraction(96 * b * s * layers * h * h)
-    total = base * (1 + Fraction(s, 6 * h) + Fraction(v, 16 * layers * h))
-    return int(total) if total.denominator == 1 else float(total)
+    return 96 * b * s * layers * h * h + 16 * b * s * s * layers * h + 6 * b * s * h * v
 
 
 def micro_batch_count(model: ModelSpec, cfg: ParallelConfig) -> int:
@@ -296,17 +295,6 @@ def metrics(flops: float, iter_time_s: float, devices: int, global_batch: int):
     return tflops, throughput
 
 
-def _stage_cluster_index(
-    stage: int, cfg: ParallelConfig, topo: ClusterTopology
-) -> int:
-    """Cluster owning a stage's contiguous rank block (1-based stage)."""
-    first_rank = (stage - 1) * cfg.stage_block_size() + 1
-    for cluster in topo.clusters:
-        if first_rank in topo.cluster_rank_span(cluster.index):
-            return cluster.index
-    raise InconsistentPlanError(f"stage {stage} has no owning cluster")
-
-
 def _stage_grad_bytes(stage: int, stage_layers: int, p: int, model: ModelSpec) -> int:
     """Gradient bytes one data replica synchronises for a stage.
 
@@ -350,7 +338,8 @@ def _stage_costs(
     out: list[_StageCosts] = []
     for stage in range(1, p + 1):
         layers_here = partition.stage_layers[stage - 1]
-        cluster = topo.clusters[_stage_cluster_index(stage, cfg, topo) - 1]
+        first_rank = (stage - 1) * cfg.stage_block_size() + 1
+        cluster = topo.clusters[topo.cluster_index(first_rank) - 1]
         speed = cost.effective_tflops(cluster.index, cluster.device_tflops_peak)
         compute_fwd, compute_bwd = stage_compute_time(
             layers_here,
@@ -466,13 +455,20 @@ def _timeline(stages, m: int) -> tuple[StageEvent, ...]:
     events: list[StageEvent] = []
     for s in range(len(t_fwd)):
         stage = s + 1
-        for k in range(m):
-            events.append(StageEvent(stage, "fwd", k + 1, fwd_start[s][k], fwd_end[s][k]))
-            events.append(StageEvent(stage, "bwd", k + 1, bwd_start[s][k], bwd_end[s][k]))
+        ends = bwd_end[s]
+        events.extend(
+            StageEvent(stage, "bwd", k + 1, start, end)
+            for k, (start, end) in enumerate(zip(bwd_start[s], ends))
+        )
         if dp_sync[s] > 0.0:
-            flush = bwd_end[s][-1]
-            events.append(StageEvent(stage, "dp_sync", 0, flush, flush + dp_sync[s]))
-    events.sort(key=lambda e: (e.start_s, e.stage, e.op, e.micro))
+            events.append(StageEvent(stage, "dp_sync", 0, ends[-1], ends[-1] + dp_sync[s]))
+        events.extend(
+            StageEvent(stage, "fwd", k + 1, start, end)
+            for k, (start, end) in enumerate(zip(fwd_start[s], fwd_end[s]))
+        )
+    # Events went in by (stage, op, micro), so a stable sort on start_s alone
+    # gives the order of the key (start_s, stage, op, micro).
+    events.sort(key=itemgetter(3))
     return tuple(events)
 
 

@@ -1,18 +1,25 @@
 """Cluster/node/device model, NIC fabrics, and the global device numbering.
 
-Devices are numbered 1..N cluster by cluster, node by node: the j-th GPU in
-the k-th node of cluster i gets rank G*(nodes_before_i + k - 1) + j.  All
-values here are immutable after construction and safe to share across
-threads.
+Devices are numbered 1..N cluster by cluster, node by node: with G GPUs per
+node and n_i nodes in cluster i, the j-th GPU in the k-th node of cluster i
+gets rank G*(n_1 + ... + n_(i-1) + k - 1) + j.  So cluster i owns the ranks
+R_(i-1) + 1 .. R_i, where R_i = G*(n_1 + ... + n_i), and
+:attr:`ClusterTopology.cluster_index` finds the owner of a rank by bisecting
+those running totals.  All values here are immutable after construction and
+safe to share across threads.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import accumulate
 
-from .errors import InvalidCoordinateError, InvalidRankError, TopologyError
+from .errors import InvalidRankError, TopologyError
 
 DEFAULT_RDMA_LATENCY_S = 5e-6
 DEFAULT_ETHERNET_LATENCY_S = 30e-6
@@ -81,15 +88,6 @@ class Cluster:
 
 
 @dataclass(frozen=True)
-class DeviceCoord:
-    """1-based (cluster, node, gpu) position of a device."""
-
-    cluster: int
-    node: int
-    gpu: int
-
-
-@dataclass(frozen=True)
 class ClusterTopology:
     """The full machine: ordered clusters plus the shared fabrics.
 
@@ -134,62 +132,27 @@ class ClusterTopology:
     def total_devices(self) -> int:
         return self.gpus_per_node * self.total_nodes
 
-    def nodes_before(self, cluster_index: int) -> int:
-        """Number of nodes in clusters preceding ``cluster_index``."""
-        return sum(c.node_count for c in self.clusters[: cluster_index - 1])
+    @cached_property
+    def cluster_index(self) -> Callable[[int], int]:
+        """Rank -> 1-based index of the cluster that owns it.
 
-    def cluster_rank_span(self, cluster_index: int) -> range:
-        """Contiguous rank interval owned by one cluster (inclusive ends)."""
-        cluster = self.clusters[cluster_index - 1]
-        lo = self.gpus_per_node * self.nodes_before(cluster_index) + 1
-        hi = lo + self.gpus_per_node * cluster.node_count - 1
-        return range(lo, hi + 1)
+        The lookup bisects the running totals R_i, which are worked out once
+        per topology, on first use; out-of-range ranks raise.
+        """
+        last_ranks = list(
+            accumulate(self.gpus_per_node * c.node_count for c in self.clusters)
+        )
+        total = last_ranks[-1]
 
-    def cluster_of_rank(self, rank: int) -> Cluster:
-        coord = coord_of(self, rank)
-        return self.clusters[coord.cluster - 1]
+        def cluster_index(rank: int) -> int:
+            if not 1 <= rank <= total:
+                raise InvalidRankError(f"rank {rank} out of range 1..{total}")
+            return bisect_left(last_ranks, rank) + 1
+
+        return cluster_index
 
     def nic_kinds(self) -> set[NicKind]:
         return {c.rdma_nic.kind for c in self.clusters}
 
     def with_clusters(self, clusters: tuple[Cluster, ...]) -> "ClusterTopology":
         return dataclasses.replace(self, clusters=clusters)
-
-
-def rank_of(topo: ClusterTopology, coord: DeviceCoord) -> int:
-    """Global 1-based rank of a device coordinate."""
-    if not 1 <= coord.cluster <= len(topo.clusters):
-        raise InvalidCoordinateError(
-            f"cluster {coord.cluster} out of range 1..{len(topo.clusters)}"
-        )
-    cluster = topo.clusters[coord.cluster - 1]
-    if not 1 <= coord.node <= cluster.node_count:
-        raise InvalidCoordinateError(
-            f"node {coord.node} out of range 1..{cluster.node_count} "
-            f"in cluster {coord.cluster}"
-        )
-    if not 1 <= coord.gpu <= topo.gpus_per_node:
-        raise InvalidCoordinateError(
-            f"gpu {coord.gpu} out of range 1..{topo.gpus_per_node}"
-        )
-    nodes_before = topo.nodes_before(coord.cluster)
-    return topo.gpus_per_node * (nodes_before + coord.node - 1) + coord.gpu
-
-
-def coord_of(topo: ClusterTopology, rank: int) -> DeviceCoord:
-    """Inverse of :func:`rank_of`."""
-    if not 1 <= rank <= topo.total_devices:
-        raise InvalidRankError(f"rank {rank} out of range 1..{topo.total_devices}")
-    node_ordinal = (rank - 1) // topo.gpus_per_node + 1  # global 1-based node number
-    gpu = rank - (node_ordinal - 1) * topo.gpus_per_node
-    seen = 0
-    for cluster in topo.clusters:
-        if node_ordinal <= seen + cluster.node_count:
-            return DeviceCoord(cluster.index, node_ordinal - seen, gpu)
-        seen += cluster.node_count
-    raise InvalidRankError(f"rank {rank} beyond the last cluster")  # unreachable
-
-
-def nic_of_rank(topo: ClusterTopology, rank: int) -> NicSpec:
-    """RDMA NIC of the cluster owning ``rank`` (Ethernet-kind if it has none)."""
-    return topo.cluster_of_rank(rank).rdma_nic

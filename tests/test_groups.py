@@ -24,30 +24,29 @@ def test_mixed_topo_first_rows():
     assert plan.pp.rows[0] == (1, 5, 9, 13)
     assert plan.dp.rows[0] == (1, 3)
     # first data group stays inside cluster 1
-    span = mixed_topo_16().cluster_rank_span(1)
-    assert all(r in span for r in plan.dp.rows[0])
+    assert {mixed_topo_16().cluster_index(r) for r in plan.dp.rows[0]} == {1}
 
 
 def test_degenerate_degrees_yield_singletons():
     topo = single_topo(2, 4)
-    tp = hp.build_tp(hp.ParallelConfig(1, 2, 4), topo)
+    tp = hp.build_plan(hp.ParallelConfig(1, 2, 4), topo).tp
     assert all(len(row) == 1 for row in tp.rows) and len(tp.rows) == 8
-    pp = hp.build_pp(hp.ParallelConfig(2, 1, 4), topo)
+    pp = hp.build_plan(hp.ParallelConfig(2, 1, 4), topo).pp
     assert all(len(row) == 1 for row in pp.rows) and len(pp.rows) == 8
-    dp = hp.build_dp(hp.ParallelConfig(2, 4, 1), topo)
+    dp = hp.build_plan(hp.ParallelConfig(2, 4, 1), topo).dp
     assert all(len(row) == 1 for row in dp.rows) and len(dp.rows) == 8
 
 
 def test_build_tp_rejects_node_straddle():
     topo = make_topo([(IB, 200.0, 3)], gpus_per_node=4)  # N = 12
     with pytest.raises(hp.InfeasibleConfigError, match="straddle"):
-        hp.build_tp(hp.ParallelConfig(3, 4, 1), topo)
+        hp.build_plan(hp.ParallelConfig(3, 4, 1), topo)
 
 
 def test_build_rejects_degree_product_mismatch():
     topo = single_topo(2, 4)
     with pytest.raises(hp.InfeasibleConfigError, match="device count"):
-        hp.build_pp(hp.ParallelConfig(2, 2, 3), topo)
+        hp.build_plan(hp.ParallelConfig(2, 2, 3), topo)
 
 
 def test_validate_feasible_case():
@@ -96,9 +95,7 @@ def test_tp_rows_node_local():
     topo = mixed_topo_16()
     plan = hp.build_plan(hp.ParallelConfig(2, 4, 2), topo)
     for row in plan.tp.rows:
-        homes = {
-            (hp.coord_of(topo, r).cluster, hp.coord_of(topo, r).node) for r in row
-        }
+        homes = {(topo.cluster_index(r), (r - 1) // topo.gpus_per_node) for r in row}
         assert len(homes) == 1
 
 
@@ -129,14 +126,7 @@ def test_determinism_and_serialization_round_trip():
     doc_a = json.dumps(a.to_json_dict(), sort_keys=True)
     doc_b = json.dumps(b.to_json_dict(), sort_keys=True)
     assert doc_a == doc_b
-    rebuilt = hp.plan_from_json_dict(json.loads(doc_a))
-    assert rebuilt.tp.rows == a.tp.rows
-    assert rebuilt.pp.rows == a.pp.rows
-    assert rebuilt.dp.rows == a.dp.rows
-
-
-def test_plan_from_json_rejects_bad_shapes():
-    doc = plan_n8().to_json_dict()
-    doc["dp"][0] = [1, 99]
-    with pytest.raises(hp.InfeasibleConfigError):
-        hp.plan_from_json_dict(doc)
+    assert json.loads(doc_a) == {
+        kind: [list(row) for row in a.matrix(hp.GroupKind(kind)).rows]
+        for kind in ("tp", "pp", "dp")
+    }

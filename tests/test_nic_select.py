@@ -14,20 +14,20 @@ def channels_for(topo, cfg, naive=False):
 
 def test_order_clusters_roce_then_ib():
     topo = make_topo([(ROCE, 200.0, 2), (IB, 200.0, 2)], gpus_per_node=4)
-    ordering = hp.order_clusters(topo)
+    _, ordering = hp.normalize_topology(topo)
     assert ordering.order == (2, 1)
     assert ordering.ib_cluster_count == 1
 
 
 def test_order_clusters_all_ib():
     topo = make_topo([(IB, 200.0, 2), (IB, 100.0, 2)], gpus_per_node=4)
-    ordering = hp.order_clusters(topo)
+    _, ordering = hp.normalize_topology(topo)
     assert ordering.order == (1, 2)
     assert ordering.ib_cluster_count == 2
 
 
 def test_order_clusters_already_sorted():
-    ordering = hp.order_clusters(mixed_topo_16())
+    _, ordering = hp.normalize_topology(mixed_topo_16())
     assert ordering.order == (1, 2)
     assert ordering.ib_cluster_count == 1
 
@@ -36,7 +36,7 @@ def test_order_clusters_ethernet_last():
     topo = make_topo(
         [(ETH, 25.0, 1), (ROCE, 200.0, 1), (IB, 200.0, 1)], gpus_per_node=4
     )
-    ordering = hp.order_clusters(topo)
+    _, ordering = hp.normalize_topology(topo)
     assert ordering.order == (3, 2, 1)
     assert ordering.ib_cluster_count == 1
 
@@ -176,7 +176,7 @@ def test_no_channel_ever_mixes_ib_and_roce():
         plan = hp.build_plan(cfg, topo)
         for a in hp.assign_channels(plan, topo):
             members = plan.matrix(a.kind).rows[a.row - 1]
-            kinds = {hp.nic_of_rank(topo, r).kind for r in members}
+            kinds = {topo.clusters[topo.cluster_index(r) - 1].rdma_nic.kind for r in members}
             if a.channel in (hp.Channel.INFINIBAND, hp.Channel.ROCE):
                 assert kinds == {hp.NicKind(a.channel.value)}
         checked += 1

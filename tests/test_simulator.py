@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,34 @@ def _grid_run(p, m):
         cost,
     )
     return topo, cfg, model, cost, report
+
+
+def _flops_oracle(model):
+    """96 * B * s * L * h^2 * (1 + s/(6h) + V/(16*L*h)), in exact fractions."""
+    b, s, layers, h, v = (
+        model.global_batch, model.seq_len, model.layers, model.hidden, model.vocab
+    )
+    total = Fraction(96 * b * s * layers * h * h) * (
+        1 + Fraction(s, 6 * h) + Fraction(v, 16 * layers * h)
+    )
+    assert total.denominator == 1
+    return int(total)
+
+
+def test_flops_per_iteration_equals_the_fraction_formula():
+    models = [hp.load_scenario(SCENARIOS / name).model for name in SHIPPED]
+    models += [
+        small_model(layers=layers, hidden=hidden, heads=1, seq_len=seq, vocab=vocab, global_batch=b)
+        for layers in (1, 3, 7)
+        for hidden in (1, 5, 64)
+        for seq in (1, 3, 2048)
+        for vocab in (1, 7, 51200)
+        for b in (2, 6)
+    ]
+    for model in models:
+        flops = hp.flops_per_iteration(model)
+        assert type(flops) is int
+        assert flops == _flops_oracle(model)
 
 
 def _flush(report):

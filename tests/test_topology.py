@@ -4,92 +4,88 @@ import holmes_planner as hp
 from helpers import ETH, IB, ROCE, make_topo, mixed_topo_16, single_topo
 
 
+def owners_by_running_sizes(topo):
+    """Rank -> cluster index, walking the clusters' running device counts."""
+    owners, rank = {}, 0
+    for cluster in topo.clusters:
+        for _ in range(topo.gpus_per_node * cluster.node_count):
+            rank += 1
+            owners[rank] = cluster.index
+    return owners
+
+
 def test_rank_of_first_device_is_one():
     topo = mixed_topo_16()
-    assert hp.rank_of(topo, hp.DeviceCoord(1, 1, 1)) == 1
+    assert topo.cluster_index(1) == 1
 
 
 def test_rank_of_hand_derived():
     topo = mixed_topo_16()  # f=[2,2], G=4
-    assert hp.rank_of(topo, hp.DeviceCoord(2, 1, 1)) == 9
-    assert hp.rank_of(topo, hp.DeviceCoord(1, 2, 4)) == 8
+    assert topo.cluster_index(8) == 1  # last GPU of cluster 1's node 2
+    assert topo.cluster_index(9) == 2  # first GPU of cluster 2
 
 
 def test_coord_of_hand_derived():
     topo = mixed_topo_16()
-    assert hp.coord_of(topo, 1) == hp.DeviceCoord(1, 1, 1)
-    assert hp.coord_of(topo, 9) == hp.DeviceCoord(2, 1, 1)
-    assert hp.coord_of(topo, 16) == hp.DeviceCoord(2, 2, 4)
+    assert [topo.cluster_index(r) for r in (1, 9, 16)] == [1, 2, 2]
 
 
-@pytest.mark.parametrize(
-    "specs,g",
-    [
-        ([(IB, 200.0, 2), (ROCE, 200.0, 2)], 4),
-        ([(IB, 100.0, 1), (ROCE, 200.0, 3), (IB, 400.0, 2)], 8),
-        ([(IB, 200.0, 16), (ROCE, 200.0, 16)], 32),  # N = 1024
-    ],
-)
+TOPOLOGIES = [
+    ([(IB, 200.0, 2), (ROCE, 200.0, 2)], 4),
+    ([(IB, 100.0, 1), (ROCE, 200.0, 3), (IB, 400.0, 2)], 8),
+    ([(IB, 200.0, 16), (ROCE, 200.0, 16)], 32),  # N = 1024
+]
+
+
+@pytest.mark.parametrize("specs,g", TOPOLOGIES)
 def test_round_trip_exhaustive(specs, g):
     topo = make_topo(specs, gpus_per_node=g)
+    owners = owners_by_running_sizes(topo)
+    assert len(owners) == topo.total_devices
     for rank in range(1, topo.total_devices + 1):
-        assert hp.rank_of(topo, hp.coord_of(topo, rank)) == rank
+        assert topo.cluster_index(rank) == owners[rank]
 
 
 def test_rank_bijective_over_coords():
+    """Each cluster owns exactly its own device count, and every rank has one
+    owner."""
     topo = make_topo([(IB, 200.0, 2), (ROCE, 200.0, 3)], gpus_per_node=4)
-    seen = set()
-    for c in range(1, 3):
-        for k in range(1, topo.clusters[c - 1].node_count + 1):
-            for j in range(1, 5):
-                seen.add(hp.rank_of(topo, hp.DeviceCoord(c, k, j)))
-    assert seen == set(range(1, topo.total_devices + 1))
+    counts = {}
+    for rank in range(1, topo.total_devices + 1):
+        owner = topo.cluster_index(rank)
+        counts[owner] = counts.get(owner, 0) + 1
+    assert counts == {c.index: 4 * c.node_count for c in topo.clusters}
 
 
 def test_cluster_rank_contiguity():
     topo = make_topo([(IB, 200.0, 1), (ROCE, 200.0, 3)], gpus_per_node=4)
-    assert list(topo.cluster_rank_span(1)) == list(range(1, 5))
-    assert list(topo.cluster_rank_span(2)) == list(range(5, 17))
+    assert [r for r in range(1, 17) if topo.cluster_index(r) == 1] == list(range(1, 5))
+    assert [r for r in range(1, 17) if topo.cluster_index(r) == 2] == list(range(5, 17))
 
 
 def test_node_locality_of_rank_blocks():
-    topo = make_topo([(IB, 200.0, 2), (ROCE, 200.0, 2)], gpus_per_node=4)
-    for node in range(1, topo.total_nodes + 1):
-        ranks = range((node - 1) * 4 + 1, node * 4 + 1)
-        coords = {(hp.coord_of(topo, r).cluster, hp.coord_of(topo, r).node) for r in ranks}
-        assert len(coords) == 1
+    for specs, g in TOPOLOGIES:
+        topo = make_topo(specs, gpus_per_node=g)
+        for node in range(1, topo.total_nodes + 1):
+            ranks = range((node - 1) * g + 1, node * g + 1)
+            assert len({topo.cluster_index(r) for r in ranks}) == 1
 
 
 def test_nic_of_rank():
     topo = mixed_topo_16()
-    assert hp.nic_of_rank(topo, 1).kind is IB
-    assert hp.nic_of_rank(topo, 9).kind is ROCE
+    assert topo.clusters[topo.cluster_index(1) - 1].rdma_nic.kind is IB
+    assert topo.clusters[topo.cluster_index(9) - 1].rdma_nic.kind is ROCE
 
 
 def test_nic_of_rank_ethernet_only_cluster():
     topo = make_topo([(ETH, 25.0, 2)], gpus_per_node=4)
-    assert hp.nic_of_rank(topo, 1).kind is ETH
-
-
-@pytest.mark.parametrize(
-    "coord,field",
-    [
-        (hp.DeviceCoord(3, 1, 1), "cluster"),
-        (hp.DeviceCoord(1, 3, 1), "node"),
-        (hp.DeviceCoord(1, 1, 5), "gpu"),
-        (hp.DeviceCoord(0, 1, 1), "cluster"),
-    ],
-)
-def test_invalid_coordinate_names_field(coord, field):
-    topo = mixed_topo_16()
-    with pytest.raises(hp.InvalidCoordinateError, match=field):
-        hp.rank_of(topo, coord)
+    assert topo.clusters[topo.cluster_index(1) - 1].rdma_nic.kind is ETH
 
 
 @pytest.mark.parametrize("rank", [0, -1, 17])
 def test_invalid_rank_rejected(rank):
-    with pytest.raises(hp.InvalidRankError):
-        hp.coord_of(mixed_topo_16(), rank)
+    with pytest.raises(hp.InvalidRankError, match=rf"^rank {rank} out of range 1\.\.16$"):
+        mixed_topo_16().cluster_index(rank)
 
 
 def test_nic_default_latencies():
