@@ -73,9 +73,6 @@ class GroupPlan:
     pp: GroupMatrix
     dp: GroupMatrix
 
-    def matrix(self, kind: GroupKind) -> GroupMatrix:
-        return {GroupKind.TP: self.tp, GroupKind.PP: self.pp, GroupKind.DP: self.dp}[kind]
-
     def to_json_dict(self) -> dict:
         return {
             "tp": [list(row) for row in self.tp.rows],

@@ -11,6 +11,11 @@ Every parallel group then receives its own communication channel:
 * data groups use the RDMA NIC of the cluster they live in; groups forced
   to span incompatible NICs fall back to Ethernet with a warning.
 
+The channel depends only on the set of clusters a group's members sit in,
+so :func:`assign_channels` maps each row's ranks through the topology's
+rank -> cluster table and runs the rule once per distinct (group kind,
+cluster set); rows that share a set share its channel.
+
 ``naive_channels`` models the single-communication-environment baseline:
 it runs the same assignment loop, but once two clusters disagree on NIC
 kind every inter-node channel is demoted to Ethernet.
@@ -21,6 +26,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
+from typing import NamedTuple
 
 from .errors import InvalidPlanError
 from .groups import GroupKind, GroupPlan
@@ -43,8 +50,7 @@ _KIND_TO_CHANNEL = {
 _KIND_SORT_ORDER = {NicKind.INFINIBAND: 0, NicKind.ROCE: 1, NicKind.ETHERNET: 2}
 
 
-@dataclass(frozen=True)
-class ChannelAssignment:
+class ChannelAssignment(NamedTuple):
     """The communication channel one group row will use."""
 
     kind: GroupKind
@@ -90,25 +96,9 @@ def normalize_topology(topo: ClusterTopology) -> tuple[ClusterTopology, ClusterO
     return topo.with_clusters(clusters), ordering
 
 
-def _intra_node_assignment(kind: GroupKind, row: int, topo: ClusterTopology):
-    return ChannelAssignment(
-        kind=kind,
-        row=row,
-        channel=Channel.INTRA_NODE,
-        bandwidth_gbps=topo.intra_node_bandwidth_gbps,
-        latency_s=topo.intra_node_latency_s,
-    )
-
-
-def _from_nic(kind: GroupKind, row: int, nic: NicSpec, warning: str | None = None):
-    return ChannelAssignment(
-        kind=kind,
-        row=row,
-        channel=_KIND_TO_CHANNEL[nic.kind],
-        bandwidth_gbps=nic.bandwidth_gbps,
-        latency_s=nic.latency_s,
-        warning=warning,
-    )
+def _record(nic: NicSpec, warning: str | None = None) -> tuple:
+    """The row-independent fields of an assignment over ``nic``."""
+    return (_KIND_TO_CHANNEL[nic.kind], nic.bandwidth_gbps, nic.latency_s, warning)
 
 
 def _bottleneck_nic(nics: list[NicSpec]) -> NicSpec:
@@ -120,50 +110,44 @@ def _bottleneck_nic(nics: list[NicSpec]) -> NicSpec:
     )
 
 
-def _inter_node_assignment(
-    kind: GroupKind,
-    row: int,
-    members: tuple[int, ...],
-    topo: ClusterTopology,
-    cluster_index,
-) -> ChannelAssignment:
-    clusters = sorted({cluster_index(r) for r in members})
+def _inter_node_assignment(clusters: tuple[int, ...], topo: ClusterTopology) -> tuple:
+    """The channel rule for a group whose members sit in ``clusters``, the
+    sorted indices of the clusters that own them."""
     nics = [topo.clusters[c - 1].rdma_nic for c in clusters]
     kinds = {nic.kind for nic in nics}
     if len(clusters) == 1:
-        return _from_nic(kind, row, nics[0])
+        return _record(nics[0])
     if len(kinds) > 1:
-        return _from_nic(
-            kind,
-            row,
+        return _record(
             topo.ethernet,
             warning=f"members span mixed NIC kinds {sorted(k.value for k in kinds)}",
         )
     shared = kinds.pop()
     if shared is NicKind.ETHERNET:
-        return _from_nic(kind, row, _bottleneck_nic(nics))
+        return _record(_bottleneck_nic(nics))
     if not topo.inter_cluster_rdma:
-        return _from_nic(
-            kind,
-            row,
-            topo.ethernet,
-            warning="members span clusters joined only by ethernet",
+        return _record(
+            topo.ethernet, warning="members span clusters joined only by ethernet"
         )
-    return _from_nic(kind, row, _bottleneck_nic(nics))
+    return _record(_bottleneck_nic(nics))
 
 
-def _assign(plan: GroupPlan, topo: ClusterTopology, inter_node) -> list[ChannelAssignment]:
-    """Tensor rows on the intra-node link, then ``inter_node(kind, row,
-    members)`` for every pipeline and data row."""
+def _rows(kind: GroupKind, records) -> list[ChannelAssignment]:
+    make = ChannelAssignment._make
+    return [make((kind, row, *rec)) for row, rec in enumerate(records, start=1)]
+
+
+def _assign(plan: GroupPlan, topo: ClusterTopology, records) -> list[ChannelAssignment]:
+    """Tensor rows on the intra-node link, then one record from
+    ``records(rows)`` for every pipeline and data row."""
     if not (plan.tp.rows and plan.pp.rows and plan.dp.rows):
         raise InvalidPlanError("plan has no groups to assign channels to")
-    out = [
-        _intra_node_assignment(GroupKind.TP, row, topo)
-        for row in range(1, len(plan.tp.rows) + 1)
-    ]
-    for kind, matrix in ((GroupKind.PP, plan.pp), (GroupKind.DP, plan.dp)):
-        for row, members in enumerate(matrix.rows, start=1):
-            out.append(inter_node(kind, row, members))
+    intra = (
+        Channel.INTRA_NODE, topo.intra_node_bandwidth_gbps, topo.intra_node_latency_s, None
+    )
+    out = _rows(GroupKind.TP, repeat(intra, len(plan.tp.rows)))
+    out += _rows(GroupKind.PP, records(plan.pp.rows))
+    out += _rows(GroupKind.DP, records(plan.dp.rows))
     return out
 
 
@@ -174,14 +158,21 @@ def assign_channels(plan: GroupPlan, topo: ClusterTopology) -> list[ChannelAssig
     degenerate plans the data-group fallbacks (Ethernet plus warning) keep
     the assignment total rather than failing.
     """
-    cluster_index = topo.cluster_index
-    return _assign(
-        plan,
-        topo,
-        lambda kind, row, members: _inter_node_assignment(
-            kind, row, members, topo, cluster_index
-        ),
-    )
+    owner = topo.rank_clusters.__getitem__
+
+    def records(rows):
+        try:
+            if min(map(min, rows)) < 1:  # the table would read these from its end
+                raise IndexError
+            sets = [frozenset(map(owner, members)) for members in rows]
+        except IndexError:
+            for rank in chain.from_iterable(rows):  # raises on the first bad rank
+                topo.cluster_index(rank)
+            raise
+        rule = {c: _inter_node_assignment(tuple(sorted(c)), topo) for c in set(sets)}
+        return map(rule.__getitem__, sets)
+
+    return _assign(plan, topo, records)
 
 
 def naive_channels(plan: GroupPlan, topo: ClusterTopology) -> list[ChannelAssignment]:
@@ -193,7 +184,8 @@ def naive_channels(plan: GroupPlan, topo: ClusterTopology) -> list[ChannelAssign
     """
     if len(topo.nic_kinds()) <= 1:
         return assign_channels(plan, topo)
-    return _assign(plan, topo, lambda kind, row, _: _from_nic(kind, row, topo.ethernet))
+    ethernet = _record(topo.ethernet)
+    return _assign(plan, topo, lambda rows: repeat(ethernet, len(rows)))
 
 
 def channel_map(

@@ -16,7 +16,7 @@ from .config import PartitionSettings, ScenarioConfig
 from .errors import InfeasibleConfigError, PlannerError
 from .groups import Diagnostic, GroupPlan, ParallelConfig
 from .nic_select import ChannelAssignment, ClusterOrdering
-from .partition import ModelSpec, PartitionPlan, PartitionStrategy
+from .partition import PartitionPlan, PartitionStrategy
 from .simulator import CostModel, ReduceScatterEntry, SimReport
 from .topology import ClusterTopology, NicKind, NicSpec
 
@@ -44,6 +44,11 @@ class PlanResult:
 def scenario_diagnostics(scenario: ScenarioConfig) -> list[Diagnostic]:
     """Group feasibility plus model/batch consistency, never raising."""
     topo, _ = nic_select.normalize_topology(scenario.topology)
+    return _diagnostics(scenario, topo)
+
+
+def _diagnostics(scenario: ScenarioConfig, topo: ClusterTopology) -> list[Diagnostic]:
+    """:func:`scenario_diagnostics` on the already normalised ``topo``."""
     diags = groups.validate(scenario.parallel, topo)
     model, cfg = scenario.model, scenario.parallel
     if model.layers < cfg.pipeline:
@@ -74,12 +79,10 @@ def scenario_diagnostics(scenario: ScenarioConfig) -> list[Diagnostic]:
 
 def plan_scenario(scenario: ScenarioConfig, naive: bool = False) -> PlanResult:
     """Order clusters, build the three matrices, and assign channels."""
-    diags = scenario_diagnostics(scenario)
-    if diags:
-        raise InfeasibleConfigError(
-            "; ".join(str(d) for d in diags)
-        )
     topo, ordering = nic_select.normalize_topology(scenario.topology)
+    diags = _diagnostics(scenario, topo)
+    if diags:
+        raise InfeasibleConfigError("; ".join(str(d) for d in diags))
     plan = groups.build_plan(scenario.parallel, topo)
     select = nic_select.naive_channels if naive else nic_select.assign_channels
     return PlanResult(

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -117,9 +117,10 @@ class SimReport:
 
     ``timeline`` holds every scheduled event (2*p*m pipeline operations plus
     one ``dp_sync`` per stage that synchronises), sorted by start time.  It
-    is built on first read, by running the schedule pass again from the
-    per-stage times the report keeps; :meth:`to_json_dict` leaves it out,
-    and :func:`chrome_trace` exports it.
+    is built on first read, from the schedule pass the simulation kept (or,
+    in a report made without one, by running the pass again from the
+    per-stage times); :meth:`to_json_dict` leaves it out, and
+    :func:`chrome_trace` exports it.
     """
 
     iter_time_s: float
@@ -132,10 +133,14 @@ class SimReport:
     _stages: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], float] = (
         field(repr=False, compare=False)
     )
+    # The starts and ends :func:`_schedule` worked out from ``_stages``.
+    _starts_ends: tuple[list[list[float]], ...] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @cached_property
     def timeline(self) -> tuple[StageEvent, ...]:
-        return _timeline(self._stages, self.micro_batches)
+        return _timeline(self._stages, self.micro_batches, self._starts_ends)
 
     def to_json_dict(self) -> dict:
         return {
@@ -409,25 +414,35 @@ def _schedule(
     bwd_end = [[0.0] * m for _ in range(p)]
     lane = [0.0] * p
     for j in range(2 * m):
+        if j < m:  # stages below last - j are still warming up: forward j
+            for s in range(last - j):
+                start = lane[s]
+                if s:
+                    # Hop time is exposed on the pipeline fill only; later
+                    # forwards arrive under cover of the previous compute.
+                    ready = fwd_end[s - 1][j] + hop if j == 0 else fwd_end[s - 1][j]
+                    if ready > start:
+                        start = ready
+                fwd_start[s][j] = start
+                lane[s] = fwd_end[s][j] = start + t_fwd[s]
         # From stage lo up, stages are past warmup and before the drain at j,
-        # so every other one runs a forward and the rest a backward.
+        # so every other one runs a forward and the rest a backward; along a
+        # position each such op is one micro-batch behind the one below it.
         lo = max(last - j, last + j + 1 - 2 * m, last + 1 - m, 0)
         odd = (lo + j - last) & 1  # 1 when stage lo runs a backward
-        warmup = range(last - j) if j < m else range(0)
-        drain = range(max(last - m, last + j - 2 * m) + 1) if j >= m else range(0)
-        for s in chain(warmup, range(lo + odd, p, 2)):
-            k = j if s < lo else (j + last - s) >> 1
+        k = (j + last - lo - odd) >> 1
+        for s in range(lo + odd, p, 2):
             start = lane[s]
             if s:
-                # Hop time is exposed on the pipeline fill only; later
-                # forwards arrive under cover of the previous compute.
                 ready = fwd_end[s - 1][k] + hop if k == 0 else fwd_end[s - 1][k]
                 if ready > start:
                     start = ready
             fwd_start[s][k] = start
             lane[s] = fwd_end[s][k] = start + t_fwd[s]
-        for s in chain(reversed(range(lo + 1 - odd, p, 2)), reversed(drain)):
-            k = (j - last + s - 1) >> 1 if s >= lo else j - m
+            k -= 1
+        top = last - ((last - lo - 1 + odd) & 1)
+        k = (j - last + top - 1) >> 1
+        for s in range(top, lo - odd, -2):
             if s < last:  # the hop is exposed again on the drain
                 ready = bwd_end[s + 1][k] + hop if k == m - 1 else bwd_end[s + 1][k]
             else:
@@ -437,35 +452,45 @@ def _schedule(
                 start = ready
             bwd_start[s][k] = start
             lane[s] = bwd_end[s][k] = start + t_bwd[s]
+            k -= 1
+        if j >= m:  # stages up to last + j - 2m are draining: backward j - m
+            k = j - m
+            for s in range(last + j - 2 * m, -1, -1):
+                ready = bwd_end[s + 1][k] + hop if k == m - 1 else bwd_end[s + 1][k]
+                start = lane[s]
+                if ready > start:
+                    start = ready
+                bwd_start[s][k] = start
+                lane[s] = bwd_end[s][k] = start + t_bwd[s]
     return fwd_start, fwd_end, bwd_start, bwd_end
 
 
-def _iteration_time(stages, m: int) -> float:
+def _iteration_time(stages, m: int, schedule=None) -> float:
     """Seconds until the last stage finishes its gradient synchronisation."""
     t_fwd, t_bwd, dp_sync, hop = stages
-    bwd_end = _schedule(t_fwd, t_bwd, hop, m)[3]
+    bwd_end = (schedule or _schedule(t_fwd, t_bwd, hop, m))[3]
     # A stage synchronises once its last backward, micro-batch m, ends.
     return max(ends[-1] + dp for ends, dp in zip(bwd_end, dp_sync))
 
 
-def _timeline(stages, m: int) -> tuple[StageEvent, ...]:
+def _timeline(stages, m: int, schedule=None) -> tuple[StageEvent, ...]:
     """Every operation of the pass as a :class:`StageEvent`, by start time."""
     t_fwd, t_bwd, dp_sync, hop = stages
-    fwd_start, fwd_end, bwd_start, bwd_end = _schedule(t_fwd, t_bwd, hop, m)
+    fwd_start, fwd_end, bwd_start, bwd_end = schedule or _schedule(t_fwd, t_bwd, hop, m)
     events: list[StageEvent] = []
+    # Each zip row holds the five fields, so tuple.__new__ can skip the
+    # Python-level call and length check of StageEvent._make; every stage
+    # shares one set of micro-batch numbers.
+    new, event, micros = tuple.__new__, repeat(StageEvent), tuple(range(1, m + 1))
     for s in range(len(t_fwd)):
         stage = s + 1
         ends = bwd_end[s]
-        events.extend(
-            StageEvent(stage, "bwd", k + 1, start, end)
-            for k, (start, end) in enumerate(zip(bwd_start[s], ends))
-        )
+        bwd = zip(repeat(stage), repeat("bwd"), micros, bwd_start[s], ends)
+        events.extend(map(new, event, bwd))
         if dp_sync[s] > 0.0:
             events.append(StageEvent(stage, "dp_sync", 0, ends[-1], ends[-1] + dp_sync[s]))
-        events.extend(
-            StageEvent(stage, "fwd", k + 1, start, end)
-            for k, (start, end) in enumerate(zip(fwd_start[s], fwd_end[s]))
-        )
+        fwd = zip(repeat(stage), repeat("fwd"), micros, fwd_start[s], fwd_end[s])
+        events.extend(map(new, event, fwd))
     # Events went in by (stage, op, micro), so a stable sort on start_s alone
     # gives the order of the key (start_s, stage, op, micro).
     events.sort(key=itemgetter(3))
@@ -521,7 +546,8 @@ def simulate_iteration(
         tuple(c.dp_sync for c in costs),
         hop,
     )
-    iter_time = _iteration_time(stages, m_total)
+    schedule = _schedule(stages[0], stages[1], hop, m_total)
+    iter_time = _iteration_time(stages, m_total, schedule)
 
     total = flops_per_iteration(model)
     tflops, throughput = metrics(total, iter_time, topo.total_devices, model.global_batch)
@@ -541,11 +567,11 @@ def simulate_iteration(
         micro_batches=m_total,
         breakdown=breakdown,
         _stages=stages,
+        _starts_ends=schedule,
     )
 
 
-@dataclass(frozen=True)
-class ReduceScatterEntry:
+class ReduceScatterEntry(NamedTuple):
     """Gradient reduce-scatter cost for one data-parallel group."""
 
     row: int

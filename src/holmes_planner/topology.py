@@ -3,21 +3,20 @@
 Devices are numbered 1..N cluster by cluster, node by node: with G GPUs per
 node and n_i nodes in cluster i, the j-th GPU in the k-th node of cluster i
 gets rank G*(n_1 + ... + n_(i-1) + k - 1) + j.  So cluster i owns the ranks
-R_(i-1) + 1 .. R_i, where R_i = G*(n_1 + ... + n_i), and
-:attr:`ClusterTopology.cluster_index` finds the owner of a rank by bisecting
-those running totals.  All values here are immutable after construction and
-safe to share across threads.
+R_(i-1) + 1 .. R_i, where R_i = G*(n_1 + ... + n_i).
+:attr:`ClusterTopology.rank_clusters` writes that rule out once per topology
+as a tuple indexed by rank, built on first use from the running totals, and
+:meth:`ClusterTopology.cluster_index` reads the owner of a rank from it after
+a range check.  All values here are immutable after construction and safe
+to share across threads.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from bisect import bisect_left
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
 
 from .errors import InvalidRankError, TopologyError
 
@@ -133,23 +132,25 @@ class ClusterTopology:
         return self.gpus_per_node * self.total_nodes
 
     @cached_property
-    def cluster_index(self) -> Callable[[int], int]:
-        """Rank -> 1-based index of the cluster that owns it.
+    def rank_clusters(self) -> tuple[int, ...]:
+        """Entry r is the 1-based index of the cluster that owns rank r.
 
-        The lookup bisects the running totals R_i, which are worked out once
-        per topology, on first use; out-of-range ranks raise.
+        Built once per topology, on first use, by laying each cluster's
+        G*n_i ranks after those of the clusters before it; entry 0 is a
+        placeholder 0, as no device has rank 0.
         """
-        last_ranks = list(
-            accumulate(self.gpus_per_node * c.node_count for c in self.clusters)
-        )
-        total = last_ranks[-1]
+        owners = [0]
+        for c in self.clusters:
+            owners += [c.index] * (self.gpus_per_node * c.node_count)
+        return tuple(owners)
 
-        def cluster_index(rank: int) -> int:
-            if not 1 <= rank <= total:
-                raise InvalidRankError(f"rank {rank} out of range 1..{total}")
-            return bisect_left(last_ranks, rank) + 1
-
-        return cluster_index
+    def cluster_index(self, rank: int) -> int:
+        """Rank -> 1-based index of the cluster that owns it; out-of-range
+        ranks raise."""
+        table = self.rank_clusters
+        if not 1 <= rank < len(table):
+            raise InvalidRankError(f"rank {rank} out of range 1..{len(table) - 1}")
+        return table[rank]
 
     def nic_kinds(self) -> set[NicKind]:
         return {c.rdma_nic.kind for c in self.clusters}

@@ -127,6 +127,6 @@ def test_determinism_and_serialization_round_trip():
     doc_b = json.dumps(b.to_json_dict(), sort_keys=True)
     assert doc_a == doc_b
     assert json.loads(doc_a) == {
-        kind: [list(row) for row in a.matrix(hp.GroupKind(kind)).rows]
-        for kind in ("tp", "pp", "dp")
+        matrix.kind.value: [list(row) for row in matrix.rows]
+        for matrix in (a.tp, a.pp, a.dp)
     }

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import holmes_planner as hp
-from helpers import IB, ROCE, make_topo, mixed_topo_16, single_topo
+from helpers import IB, mixed_topo_16, single_topo
 
 
 def test_uniform_even_split():

@@ -282,6 +282,14 @@ def test_schedule_pass_equals_the_scan_loop_exactly(p, m, data, hop):
     assert report.timeline == timeline
 
 
+@pytest.mark.parametrize("name", SHIPPED)
+def test_kept_schedule_gives_the_reference_timeline(name):
+    _, report = _shipped(name)
+    timeline, iter_time = _reference(*report._stages, report.micro_batches)
+    assert report.timeline == timeline
+    assert report.iter_time_s == iter_time
+
+
 def test_timeline_is_built_on_first_read():
     scenario, report = _shipped("mixed_nic_16gpu.json")
     report.to_json_dict()
