@@ -16,7 +16,6 @@ stage, times in microseconds); the file opens in Perfetto or
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -181,6 +180,8 @@ def _write_file(path: str, text: str) -> None:
 
 
 def _csv_text(docs: list[dict]) -> str:
+    import csv  # only --csv runs pay for loading it
+
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["scenario", "nic_env", "tflops", "throughput", "reduce_scatter_s"])

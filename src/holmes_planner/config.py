@@ -19,17 +19,25 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .groups import ParallelConfig
-from .partition import ModelSpec, PartitionStrategy
-from .simulator import CostModel
+from .partition import (
+    DEFAULT_BYTES_PER_PARAM,
+    DEFAULT_SEQ_LEN,
+    DEFAULT_VOCAB,
+    ModelSpec,
+    PartitionStrategy,
+)
+from .simulator import DEFAULT_BACKWARD_FORWARD_RATIO, DEFAULT_COMPUTE_EFFICIENCY, CostModel
 from .topology import (
+    DEFAULT_DEVICE_MEM_GB,
+    DEFAULT_DEVICE_TFLOPS_PEAK,
+    DEFAULT_INTRA_NODE_LATENCY_S,
     Cluster,
     ClusterTopology,
-    DEFAULT_INTRA_NODE_LATENCY_S,
     NicKind,
     NicSpec,
 )
@@ -153,16 +161,14 @@ class _Fields:
             raise _invalid(self.path, "unknown key " + ", ".join(map(repr, unknown)))
 
 
-@dataclass(frozen=True)
-class PartitionSettings:
+class PartitionSettings(NamedTuple):
     strategy: PartitionStrategy = PartitionStrategy.UNIFORM
     alpha: float = 1.0
     cluster_alphas: tuple[float, ...] | None = None
     cluster_mem_budget_gb: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """A fully parsed scenario plus provenance for reproducible reports."""
 
     topology: ClusterTopology
@@ -199,9 +205,9 @@ def parse_scenario(doc: dict, raw: bytes, name: str = "scenario") -> ScenarioCon
                 node_count=cdoc.integer("nodes"),
                 rdma_nic=_nic(cdoc.obj("nic")) if "nic" in cdoc.doc else ethernet,
                 device_tflops_peak=cdoc.number(
-                    "device_tflops_peak", Cluster.device_tflops_peak
+                    "device_tflops_peak", DEFAULT_DEVICE_TFLOPS_PEAK
                 ),
-                device_mem_gb=cdoc.number("device_mem_gb", Cluster.device_mem_gb),
+                device_mem_gb=cdoc.number("device_mem_gb", DEFAULT_DEVICE_MEM_GB),
             )
         )
         cdoc.close()
@@ -224,9 +230,9 @@ def parse_scenario(doc: dict, raw: bytes, name: str = "scenario") -> ScenarioCon
         heads=model_doc.integer("heads"),
         global_batch=model_doc.integer("global_batch"),
         micro_batch=model_doc.integer("micro_batch"),
-        seq_len=model_doc.integer("seq_len", ModelSpec.seq_len),
-        vocab=model_doc.integer("vocab", ModelSpec.vocab),
-        bytes_per_param=model_doc.integer("bytes_per_param", ModelSpec.bytes_per_param),
+        seq_len=model_doc.integer("seq_len", DEFAULT_SEQ_LEN),
+        vocab=model_doc.integer("vocab", DEFAULT_VOCAB),
+        bytes_per_param=model_doc.integer("bytes_per_param", DEFAULT_BYTES_PER_PARAM),
         per_layer_mem_gb=model_doc.number("per_layer_mem_gb", None),
     )
     defaults = tuple(
@@ -254,9 +260,9 @@ def parse_scenario(doc: dict, raw: bytes, name: str = "scenario") -> ScenarioCon
     part_doc = root.obj("partition", {})
     part = PartitionSettings(
         strategy=part_doc.choice(
-            "strategy", PartitionStrategy, PartitionSettings.strategy
+            "strategy", PartitionStrategy, PartitionSettings._field_defaults["strategy"]
         ),
-        alpha=part_doc.number("alpha", PartitionSettings.alpha),
+        alpha=part_doc.number("alpha", PartitionSettings._field_defaults["alpha"]),
         # The last cluster takes the remainder, so its alpha may be left out.
         cluster_alphas=part_doc.numbers("cluster_alphas", (m, m - 1)),
         cluster_mem_budget_gb=part_doc.numbers("cluster_mem_budget_gb", (m,)),
@@ -265,9 +271,9 @@ def parse_scenario(doc: dict, raw: bytes, name: str = "scenario") -> ScenarioCon
 
     cost_doc = root.obj("cost", {})
     cost = CostModel(
-        eta=cost_doc.number("eta", CostModel.eta, at_most=1),
+        eta=cost_doc.number("eta", DEFAULT_COMPUTE_EFFICIENCY, at_most=1),
         backward_forward_ratio=cost_doc.number(
-            "backward_forward_ratio", CostModel.backward_forward_ratio
+            "backward_forward_ratio", DEFAULT_BACKWARD_FORWARD_RATIO
         ),
         cluster_speeds_tflops=cost_doc.numbers("cluster_speeds_tflops", (m,)),
     )

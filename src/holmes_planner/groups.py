@@ -15,8 +15,9 @@ use) live in :mod:`holmes_planner.nic_select`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import InfeasibleConfigError
 from .topology import ClusterTopology
@@ -28,20 +29,17 @@ class GroupKind(str, Enum):
     DP = "dp"
 
 
-@dataclass(frozen=True)
-class ParallelConfig:
+class ParallelConfig(namedtuple("ParallelConfig", "tensor pipeline data")):
     """Parallelism degrees. The product must equal the device count."""
 
-    tensor: int
-    pipeline: int
-    data: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("tensor", "pipeline", "data"):
-            if getattr(self, name) < 1:
-                raise InfeasibleConfigError(
-                    f"{name} degree must be >= 1, got {getattr(self, name)}"
-                )
+    def __new__(cls, tensor: int, pipeline: int, data: int):
+        self = super().__new__(cls, tensor, pipeline, data)
+        for name, degree in zip(self._fields, self):
+            if degree < 1:
+                raise InfeasibleConfigError(f"{name} degree must be >= 1, got {degree}")
+        return self
 
     @property
     def world_size(self) -> int:
@@ -52,8 +50,7 @@ class ParallelConfig:
         return self.tensor * self.data
 
 
-@dataclass(frozen=True)
-class GroupMatrix:
+class GroupMatrix(NamedTuple):
     """All groups of one kind; each row is an ordered rank tuple."""
 
     kind: GroupKind
@@ -64,8 +61,7 @@ class GroupMatrix:
         return len(self.rows[0]) if self.rows else 0
 
 
-@dataclass(frozen=True)
-class GroupPlan:
+class GroupPlan(NamedTuple):
     """The three group matrices for one (config, topology) pair."""
 
     config: ParallelConfig
@@ -81,8 +77,7 @@ class GroupPlan:
         }
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One feasibility violation with a stable machine-readable code."""
 
     code: str

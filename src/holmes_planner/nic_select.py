@@ -23,15 +23,13 @@ kind every inter-node channel is demoted to Ethernet.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import InvalidPlanError
 from .groups import GroupKind, GroupPlan
-from .topology import ClusterTopology, NicKind, NicSpec
+from .topology import Cluster, ClusterTopology, NicKind, NicSpec
 
 
 class Channel(str, Enum):
@@ -73,8 +71,7 @@ class ChannelAssignment(NamedTuple):
         return doc
 
 
-@dataclass(frozen=True)
-class ClusterOrdering:
+class ClusterOrdering(NamedTuple):
     """Cluster indices permuted IB-first, with the IB prefix length."""
 
     order: tuple[int, ...]
@@ -88,9 +85,7 @@ def normalize_topology(topo: ClusterTopology) -> tuple[ClusterTopology, ClusterO
     ranks follow the IB-first layout, and the permutation itself.
     """
     ordered = sorted(topo.clusters, key=lambda c: _KIND_SORT_ORDER[c.rdma_nic.kind])
-    clusters = tuple(
-        dataclasses.replace(c, index=new) for new, c in enumerate(ordered, start=1)
-    )
+    clusters = tuple(Cluster(new, *c[1:]) for new, c in enumerate(ordered, start=1))
     ib = sum(1 for c in ordered if c.rdma_nic.kind is NicKind.INFINIBAND)
     ordering = ClusterOrdering(order=tuple(c.index for c in ordered), ib_cluster_count=ib)
     return topo.with_clusters(clusters), ordering
@@ -139,9 +134,14 @@ def _rows(kind: GroupKind, records) -> list[ChannelAssignment]:
 
 def _assign(plan: GroupPlan, topo: ClusterTopology, records) -> list[ChannelAssignment]:
     """Tensor rows on the intra-node link, then one record from
-    ``records(rows)`` for every pipeline and data row."""
+    ``records(rows)`` for every pipeline and data row.  A plan with no rows
+    of a kind, or with an empty row, is rejected."""
     if not (plan.tp.rows and plan.pp.rows and plan.dp.rows):
         raise InvalidPlanError("plan has no groups to assign channels to")
+    for matrix in (plan.tp, plan.pp, plan.dp):
+        if not all(matrix.rows):
+            row = next(i for i, members in enumerate(matrix.rows, start=1) if not members)
+            raise InvalidPlanError(f"{matrix.kind.value} row {row} has no members")
     intra = (
         Channel.INTRA_NODE, topo.intra_node_bandwidth_gbps, topo.intra_node_latency_s, None
     )

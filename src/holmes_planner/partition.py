@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     ClampWarning,
@@ -23,14 +24,23 @@ from .errors import (
 from .groups import ParallelConfig
 from .topology import ClusterTopology
 
+DEFAULT_SEQ_LEN = 2048
+DEFAULT_VOCAB = 51200
+DEFAULT_BYTES_PER_PARAM = 2
+
 
 class PartitionStrategy(str, Enum):
     UNIFORM = "uniform"
     SELF_ADAPTING = "self_adapting"
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(
+    namedtuple(
+        "ModelSpec",
+        "layers hidden heads global_batch micro_batch seq_len vocab "
+        "bytes_per_param per_layer_mem_gb",
+    )
+):
     """Transformer shape and batch settings used for costing.
 
     ``seq_len`` and ``vocab`` default to 2048 and 51200; reports flag when
@@ -39,31 +49,38 @@ class ModelSpec:
     activation bytes per layer.
     """
 
-    layers: int
-    hidden: int
-    heads: int
-    global_batch: int
-    micro_batch: int
-    seq_len: int = 2048
-    vocab: int = 51200
-    bytes_per_param: int = 2
-    per_layer_mem_gb: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in (
-            "layers",
-            "hidden",
-            "heads",
-            "global_batch",
-            "micro_batch",
-            "seq_len",
-            "vocab",
-            "bytes_per_param",
-        ):
-            if getattr(self, name) < 1:
+    def __new__(
+        cls,
+        layers: int,
+        hidden: int,
+        heads: int,
+        global_batch: int,
+        micro_batch: int,
+        seq_len: int = DEFAULT_SEQ_LEN,
+        vocab: int = DEFAULT_VOCAB,
+        bytes_per_param: int = DEFAULT_BYTES_PER_PARAM,
+        per_layer_mem_gb: float | None = None,
+    ):
+        self = super().__new__(
+            cls,
+            layers,
+            hidden,
+            heads,
+            global_batch,
+            micro_batch,
+            seq_len,
+            vocab,
+            bytes_per_param,
+            per_layer_mem_gb,
+        )
+        for name, count in zip(self._fields[:-1], self):
+            if count < 1:
                 raise InfeasibleConfigError(f"model {name} must be >= 1")
-        if self.per_layer_mem_gb is not None and self.per_layer_mem_gb <= 0:
+        if per_layer_mem_gb is not None and per_layer_mem_gb <= 0:
             raise InfeasibleConfigError("per_layer_mem_gb must be positive")
+        return self
 
     def layer_mem_gb(self) -> float:
         if self.per_layer_mem_gb is not None:
@@ -73,8 +90,7 @@ class ModelSpec:
         return (param_bytes + activation_bytes) / 1e9
 
 
-@dataclass(frozen=True)
-class PartitionPlan:
+class PartitionPlan(NamedTuple):
     """Layer counts per pipeline stage plus the per-cluster totals."""
 
     strategy: PartitionStrategy

@@ -7,9 +7,8 @@ group equations compose without special cases.
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import groups, nic_select, partition as partition_mod, simulator
 from .config import PartitionSettings, ScenarioConfig
@@ -18,11 +17,10 @@ from .groups import Diagnostic, GroupPlan, ParallelConfig
 from .nic_select import ChannelAssignment, ClusterOrdering
 from .partition import PartitionPlan, PartitionStrategy
 from .simulator import CostModel, ReduceScatterEntry, SimReport
-from .topology import ClusterTopology, NicKind, NicSpec
+from .topology import Cluster, ClusterTopology, NicKind, NicSpec
 
 
-@dataclass(frozen=True)
-class PlanResult:
+class PlanResult(NamedTuple):
     """Normalised topology plus the groups and channels built on it."""
 
     topology: ClusterTopology
@@ -188,8 +186,12 @@ def partition_scenario(
                     w.message, w.category, w.filename, w.lineno
                 )
     if clamp_notes:
-        plan = dataclasses.replace(
-            plan, warnings=plan.warnings + tuple(clamp_notes)
+        plan = PartitionPlan(
+            plan.strategy,
+            plan.stage_layers,
+            plan.cluster_layers,
+            plan.alphas,
+            plan.warnings + tuple(clamp_notes),
         )
     return plan
 
@@ -260,11 +262,17 @@ def _retype_clusters(topo: ClusterTopology, kind: NicKind) -> ClusterTopology:
                 else fallback
             )
             nic = NicSpec(kind=kind, bandwidth_gbps=bw)
-        clusters.append(dataclasses.replace(c, rdma_nic=nic))
-    topo = topo.with_clusters(tuple(clusters))
-    if kind is not NicKind.ETHERNET:
-        topo = dataclasses.replace(topo, inter_cluster_rdma=True)
-    return topo
+        clusters.append(
+            Cluster(c.index, c.node_count, nic, c.device_tflops_peak, c.device_mem_gb)
+        )
+    return ClusterTopology(
+        clusters,
+        topo.gpus_per_node,
+        topo.ethernet,
+        topo.intra_node_bandwidth_gbps,
+        topo.intra_node_latency_s,
+        inter_cluster_rdma=topo.inter_cluster_rdma or kind is not NicKind.ETHERNET,
+    )
 
 
 def run_strategy(scenario: ScenarioConfig, name: str):
@@ -293,7 +301,5 @@ def run_strategy(scenario: ScenarioConfig, name: str):
         "roce-only": NicKind.ROCE,
         "ethernet-only": NicKind.ETHERNET,
     }[name]
-    variant = dataclasses.replace(
-        scenario, topology=_retype_clusters(scenario.topology, kind)
-    )
+    variant = ScenarioConfig(_retype_clusters(scenario.topology, kind), *scenario[1:])
     return run_scenario(variant)

@@ -27,7 +27,7 @@ cost nothing for single-member groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
@@ -45,10 +45,12 @@ from .partition import ModelSpec, PartitionPlan
 from .topology import ClusterTopology
 
 DEFAULT_COMPUTE_EFFICIENCY = 0.63  # fraction of peak achieved on 200 Gbps RDMA
+DEFAULT_BACKWARD_FORWARD_RATIO = 2.0
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(
+    namedtuple("CostModel", "eta backward_forward_ratio cluster_speeds_tflops")
+):
     """Transfer pricing plus the compute-efficiency knob.
 
     ``eta`` is the achieved fraction of peak device throughput; at the
@@ -59,19 +61,23 @@ class CostModel:
     lets scenarios express NIC-dependent speed differences.
     """
 
-    eta: float = DEFAULT_COMPUTE_EFFICIENCY
-    backward_forward_ratio: float = 2.0
-    cluster_speeds_tflops: tuple[float, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.eta <= 1:
-            raise InfeasibleConfigError(f"eta must be in (0, 1], got {self.eta}")
-        if self.backward_forward_ratio <= 0:
+    def __new__(
+        cls,
+        eta: float = DEFAULT_COMPUTE_EFFICIENCY,
+        backward_forward_ratio: float = DEFAULT_BACKWARD_FORWARD_RATIO,
+        cluster_speeds_tflops: tuple[float, ...] | None = None,
+    ):
+        if not 0 < eta <= 1:
+            raise InfeasibleConfigError(f"eta must be in (0, 1], got {eta}")
+        if backward_forward_ratio <= 0:
             raise InfeasibleConfigError("backward_forward_ratio must be positive")
-        if self.cluster_speeds_tflops is not None and any(
-            s <= 0 for s in self.cluster_speeds_tflops
+        if cluster_speeds_tflops is not None and any(
+            s <= 0 for s in cluster_speeds_tflops
         ):
             raise InfeasibleConfigError("cluster speeds must be positive")
+        return super().__new__(cls, eta, backward_forward_ratio, cluster_speeds_tflops)
 
     def comm(self, n_bytes: float, channel: ChannelAssignment) -> float:
         """Seconds to move ``n_bytes`` over a channel."""
@@ -111,8 +117,13 @@ class StageEvent(NamedTuple):
     end_s: float
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(
+    namedtuple(
+        "SimReport",
+        "iter_time_s tflops_per_gpu throughput_samples_per_s flops_per_iteration "
+        "micro_batches breakdown",
+    )
+):
     """Predicted timing and rates for one training iteration.
 
     ``timeline`` holds every scheduled event (2*p*m pipeline operations plus
@@ -121,22 +132,41 @@ class SimReport:
     in a report made without one, by running the pass again from the
     per-stage times); :meth:`to_json_dict` leaves it out, and
     :func:`chrome_trace` exports it.
+
+    ``_stages`` holds the per-stage forward, backward and dp_sync seconds,
+    then the hop seconds; ``_starts_ends`` the starts and ends
+    :func:`_schedule` worked out from them, or None.  Both are attributes
+    rather than fields, so equality and ``repr`` leave them out.
     """
 
-    iter_time_s: float
-    tflops_per_gpu: float
-    throughput_samples_per_s: float
-    flops_per_iteration: float
-    micro_batches: int
-    breakdown: dict[str, float]
-    # Per-stage forward, backward and dp_sync seconds, then the hop seconds.
-    _stages: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], float] = (
-        field(repr=False, compare=False)
-    )
-    # The starts and ends :func:`_schedule` worked out from ``_stages``.
-    _starts_ends: tuple[list[list[float]], ...] | None = field(
-        default=None, repr=False, compare=False
-    )
+    # No __slots__: the kept schedule and the built timeline live in __dict__.
+
+    def __new__(
+        cls,
+        iter_time_s: float,
+        tflops_per_gpu: float,
+        throughput_samples_per_s: float,
+        flops_per_iteration: float,
+        micro_batches: int,
+        breakdown: dict[str, float],
+        _stages: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], float],
+        _starts_ends: tuple[list[list[float]], ...] | None = None,
+    ):
+        self = super().__new__(
+            cls,
+            iter_time_s,
+            tflops_per_gpu,
+            throughput_samples_per_s,
+            flops_per_iteration,
+            micro_batches,
+            breakdown,
+        )
+        self._stages = _stages
+        self._starts_ends = _starts_ends
+        return self
+
+    def __getnewargs__(self):
+        return (*self, self._stages, self._starts_ends)
 
     @cached_property
     def timeline(self) -> tuple[StageEvent, ...]:
@@ -319,8 +349,7 @@ def _activation_bytes(model: ModelSpec) -> int:
     return model.micro_batch * model.seq_len * model.hidden * model.bytes_per_param
 
 
-@dataclass(frozen=True)
-class _StageCosts:
+class _StageCosts(NamedTuple):
     t_fwd: float  # per-micro-batch forward, tensor collectives included
     t_bwd: float
     compute_fwd: float  # pure compute portions, for the breakdown

@@ -63,6 +63,22 @@ def test_cli_import_needs_only_the_standard_library():
     assert [m for m in added if m.split(".")[0] not in allowed] == []
 
 
+def test_cli_import_loads_no_costly_module():
+    # dataclasses alone pulls in inspect, ast, dis and tokenize; csv is
+    # loaded only by the runs that write a CSV file.
+    costly = ("dataclasses", "inspect", "ast", "dis", "tokenize", "csv")
+    code = (
+        "import sys; before = set(sys.modules); import holmes_planner.cli; "
+        f"print(*sorted(set(sys.modules) - before & {set(costly)!r}))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hp.__file__).resolve().parent.parent))
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []
+
+
 def test_trace_file_leaves_stdout_unchanged(tmp_path, capsys):
     path = _write(tmp_path, full_scenario())
     trace = tmp_path / "trace.json"

@@ -127,6 +127,19 @@ def test_empty_plan_rejected():
         hp.assign_channels(empty, topo)
 
 
+@pytest.mark.parametrize("naive", [False, True], ids=["holmes", "naive"])
+@pytest.mark.parametrize("kind", ["tp", "pp", "dp"])
+def test_empty_group_row_rejected(kind, naive):
+    topo = mixed_topo_16()
+    plan = hp.build_plan(hp.ParallelConfig(2, 4, 2), topo)
+    rows = getattr(plan, kind).rows
+    matrix = hp.GroupMatrix(hp.GroupKind(kind), (rows[0], (), *rows[2:]))
+    broken = hp.GroupPlan(**{**plan._asdict(), kind: matrix})
+    select = hp.naive_channels if naive else hp.assign_channels
+    with pytest.raises(hp.InvalidPlanError, match=f"^{kind} row 2 has no members$"):
+        select(broken, topo)
+
+
 def _random_feasible_case(rng):
     kinds = [IB, ROCE]
     n_clusters = rng.randint(2, 4)

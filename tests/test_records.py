@@ -2,10 +2,13 @@
 type and full message, the defaults and normalisation they apply, and the
 equality tests and callers rely on."""
 
+import copy
+import pickle
+
 import pytest
 
 import holmes_planner as hp
-from helpers import ETH, IB, mixed_topo_16
+from helpers import ETH, IB, full_scenario, mixed_topo_16
 from holmes_planner import simulator
 
 _IB = hp.NicSpec(IB, 200.0)
@@ -204,3 +207,15 @@ def test_sim_report_equality_and_repr_leave_out_the_kept_schedule():
     assert "_stages" not in repr(one) and "_starts_ends" not in repr(one)
     assert one._starts_ends is None
     assert [e.op for e in one.timeline] == ["fwd", "bwd"]
+
+
+def test_records_survive_copy_and_pickle():
+    topo = mixed_topo_16()
+    topo.cluster_index(1)  # fills the rank table cache
+    scenario = hp.parse_scenario(full_scenario(), b"{}")
+    report, planned, part = hp.run_scenario(scenario)
+    for record in (topo, scenario, report, planned, part):
+        for twin in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+            assert twin == record and type(twin) is type(record)
+    twin = pickle.loads(pickle.dumps(report))
+    assert twin._stages == report._stages and twin.timeline == report.timeline
