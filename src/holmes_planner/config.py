@@ -31,7 +31,11 @@ from .partition import (
     ModelSpec,
     PartitionStrategy,
 )
-from .simulator import DEFAULT_BACKWARD_FORWARD_RATIO, DEFAULT_COMPUTE_EFFICIENCY, CostModel
+from .simulator import (
+    DEFAULT_BACKWARD_FORWARD_RATIO,
+    DEFAULT_COMPUTE_EFFICIENCY,
+    CostModel,
+)
 from .topology import (
     DEFAULT_DEVICE_MEM_GB,
     DEFAULT_DEVICE_TFLOPS_PEAK,
