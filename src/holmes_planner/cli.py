@@ -202,7 +202,7 @@ def _csv_text(docs: list[dict]) -> str:
 def cmd_compare(args) -> int:
     if len(args.strategies) < 2:
         print("compare needs at least two strategies", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return EXIT_MALFORMED
     for name in args.strategies:
         if name not in _STRATEGY_NAMES:
             print(
@@ -210,7 +210,7 @@ def cmd_compare(args) -> int:
                 + ", ".join(_STRATEGY_NAMES),
                 file=sys.stderr,
             )
-            return EXIT_INFEASIBLE
+            return EXIT_MALFORMED
     scenario = load_scenario(args.config)
     rows, csv_docs = [], []
     nodes = scenario.topology.total_nodes

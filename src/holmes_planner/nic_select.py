@@ -11,14 +11,20 @@ Every parallel group then receives its own communication channel:
 * data groups use the RDMA NIC of the cluster they live in; groups forced
   to span incompatible NICs fall back to Ethernet with a warning.
 
-The channel depends only on the set of clusters a group's members sit in,
-so :func:`assign_channels` maps each row's ranks through the topology's
-rank -> cluster table and runs the rule once per distinct (group kind,
-cluster set); rows that share a set share its channel.
+The channel depends only on the set of clusters a group's members sit in.
+On a plan that :func:`holmes_planner.groups.validate` accepts, each data
+group lies in the one cluster that hosts its stage and every pipeline row
+crosses the same clusters, so :func:`stage_channels` gives every row's
+channel from the cluster hosting each stage: the rule runs once for the
+pipeline's cluster set and once per cluster, in O(p + clusters).  A
+simulation run prices those channels only.  :func:`assign_channels` writes
+the channels out row by row for a full plan (the ``plan`` command): it maps
+each row's ranks through the topology's rank -> cluster table and runs the
+rule once per distinct (group kind, cluster set).
 
 ``naive_channels`` models the single-communication-environment baseline:
-it runs the same assignment loop, but once two clusters disagree on NIC
-kind every inter-node channel is demoted to Ethernet.
+once two clusters disagree on NIC kind, every inter-node channel is demoted
+to Ethernet; ``stage_channels(..., naive=True)`` applies the same rule.
 """
 
 from __future__ import annotations
@@ -96,6 +102,13 @@ def _record(nic: NicSpec, warning: str | None = None) -> tuple:
     return (_KIND_TO_CHANNEL[nic.kind], nic.bandwidth_gbps, nic.latency_s, warning)
 
 
+def _intra_node(topo: ClusterTopology) -> tuple:
+    """The record of every tensor group: its members share one node."""
+    return (
+        Channel.INTRA_NODE, topo.intra_node_bandwidth_gbps, topo.intra_node_latency_s, None
+    )
+
+
 def _bottleneck_nic(nics: list[NicSpec]) -> NicSpec:
     """Same-kind NICs across clusters: slowest bandwidth, largest latency."""
     return NicSpec(
@@ -142,10 +155,7 @@ def _assign(plan: GroupPlan, topo: ClusterTopology, records) -> list[ChannelAssi
         if not all(matrix.rows):
             row = next(i for i, members in enumerate(matrix.rows, start=1) if not members)
             raise InvalidPlanError(f"{matrix.kind.value} row {row} has no members")
-    intra = (
-        Channel.INTRA_NODE, topo.intra_node_bandwidth_gbps, topo.intra_node_latency_s, None
-    )
-    out = _rows(GroupKind.TP, repeat(intra, len(plan.tp.rows)))
+    out = _rows(GroupKind.TP, repeat(_intra_node(topo), len(plan.tp.rows)))
     out += _rows(GroupKind.PP, records(plan.pp.rows))
     out += _rows(GroupKind.DP, records(plan.dp.rows))
     return out
@@ -175,6 +185,13 @@ def assign_channels(plan: GroupPlan, topo: ClusterTopology) -> list[ChannelAssig
     return _assign(plan, topo, records)
 
 
+def _naive_ethernet(topo: ClusterTopology) -> tuple | None:
+    """The record the unified-environment baseline gives every inter-node
+    group, or None while one NIC kind serves all clusters and the baseline
+    equals the NIC-aware rule."""
+    return _record(topo.ethernet) if len(topo.nic_kinds()) > 1 else None
+
+
 def naive_channels(plan: GroupPlan, topo: ClusterTopology) -> list[ChannelAssignment]:
     """Unified-environment baseline.
 
@@ -182,10 +199,42 @@ def naive_channels(plan: GroupPlan, topo: ClusterTopology) -> list[ChannelAssign
     as soon as two clusters disagree, every inter-node group is limited to
     Ethernet because one communication backend must serve them all.
     """
-    if len(topo.nic_kinds()) <= 1:
+    ethernet = _naive_ethernet(topo)
+    if ethernet is None:
         return assign_channels(plan, topo)
-    ethernet = _record(topo.ethernet)
     return _assign(plan, topo, lambda rows: repeat(ethernet, len(rows)))
+
+
+def stage_channels(
+    stage_clusters: tuple[int, ...],
+    tensor: int,
+    topo: ClusterTopology,
+    naive: bool = False,
+) -> tuple[ChannelAssignment, ChannelAssignment, tuple[ChannelAssignment, ...]]:
+    """Tensor row 1's, pipeline row 1's and each stage's first data row's
+    channel, from ``stage_clusters``, the index of the cluster hosting each
+    stage.
+
+    On a plan that passed :func:`holmes_planner.groups.validate` every
+    tensor, pipeline and data row has the channel given here for its kind
+    and stage, the same fields :func:`assign_channels` (or, with ``naive``,
+    :func:`naive_channels`) writes out for it.
+    """
+    ethernet = _naive_ethernet(topo) if naive else None
+    if ethernet is None:
+        pp = _inter_node_assignment(tuple(sorted(set(stage_clusters))), topo)
+        home = {c: _inter_node_assignment((c,), topo) for c in set(stage_clusters)}
+    else:
+        pp, home = ethernet, dict.fromkeys(stage_clusters, ethernet)
+    dp = tuple(
+        ChannelAssignment(GroupKind.DP, s * tensor + 1, *home[c])
+        for s, c in enumerate(stage_clusters)
+    )
+    return (
+        ChannelAssignment(GroupKind.TP, 1, *_intra_node(topo)),
+        ChannelAssignment(GroupKind.PP, 1, *pp),
+        dp,
+    )
 
 
 def channel_map(

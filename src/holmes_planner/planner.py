@@ -3,6 +3,11 @@
 This is the glue the CLI and tests share.  Cluster ordering is applied
 exactly once, before group construction, so the IB-first numbering and the
 group equations compose without special cases.
+
+A run (:func:`run_scenario`, and through it :func:`run_strategy`) plans
+from a table with one row per pipeline stage, built in O(p + clusters);
+only :func:`plan_scenario` builds the O(N) group matrices and per-row
+channels, for the ``plan`` command and for library callers.
 """
 
 from __future__ import annotations
@@ -16,18 +21,27 @@ from .errors import InfeasibleConfigError, PlannerError
 from .groups import Diagnostic, GroupPlan, ParallelConfig
 from .nic_select import ChannelAssignment, ClusterOrdering
 from .partition import PartitionPlan, PartitionStrategy
-from .simulator import CostModel, ReduceScatterEntry, SimReport
+from .simulator import CostModel, ReduceScatterEntry, SimReport, StageTable
 from .topology import Cluster, ClusterTopology, NicKind, NicSpec
 
 
 class PlanResult(NamedTuple):
-    """Normalised topology plus the groups and channels built on it."""
+    """Normalised topology plus what was planned on it.
+
+    :func:`plan_scenario` fills ``plan`` and ``channels``: the group
+    matrices and one channel per group row.  :func:`run_scenario` fills
+    ``stages`` instead, the p-row :class:`~holmes_planner.simulator.StageTable`
+    it simulated, and leaves ``plan`` and ``channels`` None, since building
+    them takes time in proportion to the rank count.  :meth:`to_json_dict`
+    needs the plan and channels.
+    """
 
     topology: ClusterTopology
     ordering: ClusterOrdering
     config: ParallelConfig
-    plan: GroupPlan
-    channels: list[ChannelAssignment]
+    plan: GroupPlan | None
+    channels: list[ChannelAssignment] | None
+    stages: StageTable | None = None
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -75,12 +89,20 @@ def _diagnostics(scenario: ScenarioConfig, topo: ClusterTopology) -> list[Diagno
     return diags
 
 
-def plan_scenario(scenario: ScenarioConfig, naive: bool = False) -> PlanResult:
-    """Order clusters, build the three matrices, and assign channels."""
+def _feasible_topology(
+    scenario: ScenarioConfig,
+) -> tuple[ClusterTopology, ClusterOrdering]:
+    """The normalised topology and ordering; any diagnostic raises."""
     topo, ordering = nic_select.normalize_topology(scenario.topology)
     diags = _diagnostics(scenario, topo)
     if diags:
         raise InfeasibleConfigError("; ".join(str(d) for d in diags))
+    return topo, ordering
+
+
+def plan_scenario(scenario: ScenarioConfig, naive: bool = False) -> PlanResult:
+    """Order clusters, build the three matrices, and assign channels."""
+    topo, ordering = _feasible_topology(scenario)
     plan = groups.build_plan(scenario.parallel, topo)
     select = nic_select.naive_channels if naive else nic_select.assign_channels
     return PlanResult(
@@ -95,6 +117,27 @@ def plan_scenario(scenario: ScenarioConfig, naive: bool = False) -> PlanResult:
 def _stages_per_cluster(topo: ClusterTopology, cfg: ParallelConfig) -> list[int]:
     block = cfg.stage_block_size()
     return [topo.gpus_per_node * c.node_count // block for c in topo.clusters]
+
+
+def _stage_table(
+    topo: ClusterTopology, cfg: ParallelConfig, cost: CostModel, naive: bool
+) -> StageTable:
+    """The stage table of a feasible scenario, in O(p + clusters).
+
+    Stages are laid cluster by cluster, as many on each as it holds stage
+    blocks; the channels follow from the cluster hosting each stage.
+    """
+    counts = _stages_per_cluster(topo, cfg)
+    clusters = tuple(c.index for c, n in zip(topo.clusters, counts) for _ in range(n))
+    speeds = cluster_speeds(topo, cost)
+    tp, pp, dp = nic_select.stage_channels(clusters, cfg.tensor, topo, naive)
+    return StageTable(
+        clusters=clusters,
+        speeds=tuple(speeds[c - 1] for c in clusters),
+        dp=dp,
+        pp=pp,
+        tp=tp,
+    )
 
 
 def cluster_speeds(
@@ -201,26 +244,33 @@ def run_scenario(
     naive: bool = False,
     strategy: PartitionStrategy | None = None,
 ) -> tuple[SimReport, PlanResult, PartitionPlan]:
-    """Plan, partition, and simulate one scenario."""
-    planned = plan_scenario(scenario, naive=naive)
-    part = partition_scenario(scenario, topo=planned.topology, strategy=strategy)
-    report = simulator.simulate_iteration(
-        planned.topology,
-        scenario.parallel,
-        planned.plan,
-        planned.channels,
-        part,
-        scenario.model,
-        scenario.cost,
-    )
-    return report, planned, part
+    """Plan, partition, and simulate one scenario.
+
+    The plan is the scenario's stage table: the returned :class:`PlanResult`
+    carries it as ``stages``, with ``plan`` and ``channels`` left None
+    (:func:`plan_scenario` builds those).  The report equals a simulation of
+    the full plan and its channels.
+    """
+    topo, ordering = _feasible_topology(scenario)
+    cfg, cost = scenario.parallel, scenario.cost
+    table = _stage_table(topo, cfg, cost, naive)
+    part = partition_scenario(scenario, topo=topo, strategy=strategy)
+    report = simulator.simulate_stages(topo, cfg, table, part, scenario.model, cost)
+    return report, PlanResult(topo, ordering, cfg, None, None, table), part
 
 
 def scenario_reduce_scatter(
     scenario: ScenarioConfig, planned: PlanResult, part: PartitionPlan
 ) -> list[ReduceScatterEntry]:
-    return simulator.reduce_scatter_report(
-        planned.plan, planned.channels, part, scenario.model, scenario.cost
+    """Per-data-group reduce-scatter seconds, from ``planned``'s stage table
+    when it has one and from its plan and channels otherwise."""
+    model, cost = scenario.model, scenario.cost
+    if planned.stages is None:
+        return simulator.reduce_scatter_report(
+            planned.plan, planned.channels, part, model, cost
+        )
+    return simulator.stage_reduce_scatter(
+        planned.config, planned.stages, part, model, cost
     )
 
 

@@ -1,6 +1,15 @@
 """One-forward-one-backward pipeline simulation with an alpha-beta
 communication cost model.
 
+A run prices a per-stage table (:class:`StageTable`): for each of the p
+stages, the cluster hosting it, that cluster's effective device speed and
+the stage's data-parallel channel, plus the one pipeline and the one tensor
+channel.  On a validated plan these are all the channels the plan holds,
+so a run's cost does not grow with the rank count.
+:func:`simulate_iteration` and :func:`reduce_scatter_report` take a full
+group plan and its per-row channels, read the same table off the rows, and
+price it with the same code.
+
 One training iteration is simulated per stage lane: the devices of a stage
 (tensor shards x data replicas) run the same schedule in lockstep, so a
 single timeline per stage determines the makespan.  The schedule is the
@@ -105,6 +114,28 @@ class CostModel(
         if self.cluster_speeds_tflops is not None:
             return self.cluster_speeds_tflops[cluster_index - 1]
         return self.eta * device_tflops_peak
+
+
+class StageTable(NamedTuple):
+    """What a run prices, one entry per pipeline stage.
+
+    ``clusters[s]``, ``speeds[s]`` and ``dp[s]`` belong to stage s + 1: the
+    index of the cluster hosting it, its devices' effective TFLOPS, and the
+    channel of its data groups.  ``pp`` is the channel of the pipeline rows
+    and ``tp`` that of the tensor rows.
+
+    Invariant: on a plan that :func:`holmes_planner.groups.validate`
+    accepts, every stage's rank block lies in one cluster.  So the t data
+    groups of a stage share that cluster's channel, every pipeline row
+    crosses the same cluster sequence and so shares one channel, and every
+    tensor row sits in one node; the table holds every channel of the plan.
+    """
+
+    clusters: tuple[int, ...]
+    speeds: tuple[float, ...]
+    dp: tuple[ChannelAssignment, ...]
+    pp: ChannelAssignment
+    tp: ChannelAssignment
 
 
 class StageEvent(NamedTuple):
@@ -359,22 +390,28 @@ class _StageCosts(NamedTuple):
     dp_sync: float
 
 
+def _dp_sync(grad_bytes: int, data: int, channel, cost: CostModel) -> float:
+    """Reduce-scatter plus all-gather of a stage's gradients on ``channel``."""
+    return cost.reduce_scatter(grad_bytes, data, channel) + cost.all_gather(
+        grad_bytes, data, channel
+    )
+
+
 def _stage_costs(
     cfg: ParallelConfig,
-    topo: ClusterTopology,
-    channels: dict,
+    table: StageTable,
     partition: PartitionPlan,
     model: ModelSpec,
     cost: CostModel,
 ) -> list[_StageCosts]:
     p = cfg.pipeline
-    act_bytes = _activation_bytes(model)
+    # Megatron-style layer sharding: two activation all-reduces per layer
+    # in forward and two in backward when tensor degree > 1.
+    one_ar = cost.all_reduce(_activation_bytes(model), cfg.tensor, table.tp)
     out: list[_StageCosts] = []
-    for stage in range(1, p + 1):
-        layers_here = partition.stage_layers[stage - 1]
-        first_rank = (stage - 1) * cfg.stage_block_size() + 1
-        cluster = topo.clusters[topo.cluster_index(first_rank) - 1]
-        speed = cost.effective_tflops(cluster.index, cluster.device_tflops_peak)
+    for stage, (layers_here, speed, dp_channel) in enumerate(
+        zip(partition.stage_layers, table.speeds, table.dp), start=1
+    ):
         compute_fwd, compute_bwd = stage_compute_time(
             layers_here,
             model,
@@ -383,19 +420,9 @@ def _stage_costs(
             eta=1.0,  # speed already includes the efficiency factor
             backward_forward_ratio=cost.backward_forward_ratio,
         )
-        # Megatron-style layer sharding: two activation all-reduces per layer
-        # in forward and two in backward when tensor degree > 1.
-        tp_channel = channels[(GroupKind.TP, 1)]
-        one_ar = cost.all_reduce(act_bytes, cfg.tensor, tp_channel)
         tp_fwd = 2 * layers_here * one_ar
         tp_bwd = 2 * layers_here * one_ar
-        dp_rows = range((stage - 1) * cfg.tensor + 1, stage * cfg.tensor + 1)
         grad_bytes = _stage_grad_bytes(stage, layers_here, p, model)
-        dp_sync = max(
-            cost.reduce_scatter(grad_bytes, cfg.data, channels[(GroupKind.DP, row)])
-            + cost.all_gather(grad_bytes, cfg.data, channels[(GroupKind.DP, row)])
-            for row in dp_rows
-        )
         out.append(
             _StageCosts(
                 t_fwd=compute_fwd + tp_fwd,
@@ -404,7 +431,7 @@ def _stage_costs(
                 compute_bwd=compute_bwd,
                 tp_fwd=tp_fwd,
                 tp_bwd=tp_bwd,
-                dp_sync=dp_sync,
+                dp_sync=_dp_sync(grad_bytes, cfg.data, dp_channel, cost),
             )
         )
     return out
@@ -526,6 +553,58 @@ def _timeline(stages, m: int, schedule=None) -> tuple[StageEvent, ...]:
     return tuple(events)
 
 
+def _micro_batches(cfg: ParallelConfig, partition: PartitionPlan, model: ModelSpec) -> int:
+    """Micro-batch count, once the partition is checked against the config."""
+    m_total = micro_batch_count(model, cfg)
+    if len(partition.stage_layers) != cfg.pipeline:
+        raise InconsistentPlanError(
+            f"partition has {len(partition.stage_layers)} stages, config wants "
+            f"{cfg.pipeline}"
+        )
+    if sum(partition.stage_layers) != model.layers:
+        raise InconsistentPlanError(
+            f"partition covers {sum(partition.stage_layers)} layers, "
+            f"model has {model.layers}"
+        )
+    return m_total
+
+
+def _table_from_rows(
+    topo: ClusterTopology,
+    cfg: ParallelConfig,
+    chans: dict,
+    partition: PartitionPlan,
+    model: ModelSpec,
+    cost: CostModel,
+) -> StageTable:
+    """The stage table of a plan given row by row: each stage's cluster is
+    its first rank's, its data channel the one of its rows whose gradient
+    sync costs most, and pipeline row 1 and tensor row 1 give the others."""
+    t, p = cfg.tensor, cfg.pipeline
+    block = cfg.stage_block_size()
+    clusters = tuple(topo.cluster_index(s * block + 1) for s in range(p))
+    dp = []
+    for stage, layers_here in enumerate(partition.stage_layers, start=1):
+        grad_bytes = _stage_grad_bytes(stage, layers_here, p, model)
+        rows = range((stage - 1) * t + 1, stage * t + 1)
+        dp.append(
+            max(
+                (chans[(GroupKind.DP, row)] for row in rows),
+                key=lambda c: _dp_sync(grad_bytes, cfg.data, c, cost),
+            )
+        )
+    return StageTable(
+        clusters=clusters,
+        speeds=tuple(
+            cost.effective_tflops(c, topo.clusters[c - 1].device_tflops_peak)
+            for c in clusters
+        ),
+        dp=tuple(dp),
+        pp=chans[(GroupKind.PP, 1)],
+        tp=chans[(GroupKind.TP, 1)],
+    )
+
+
 def simulate_iteration(
     topo: ClusterTopology,
     cfg: ParallelConfig,
@@ -539,19 +618,11 @@ def simulate_iteration(
 
     The plan must have been channel-assigned for this topology and the
     partition must cover the configured pipeline depth; shape mismatches
-    raise rather than mis-simulate.
+    raise rather than mis-simulate.  The plan's rows are read into a
+    :class:`StageTable`, which is then priced as a run prices it.
     """
-    p, m_total = cfg.pipeline, micro_batch_count(model, cfg)
-    if len(partition.stage_layers) != p:
-        raise InconsistentPlanError(
-            f"partition has {len(partition.stage_layers)} stages, config wants {p}"
-        )
-    if sum(partition.stage_layers) != model.layers:
-        raise InconsistentPlanError(
-            f"partition covers {sum(partition.stage_layers)} layers, "
-            f"model has {model.layers}"
-        )
-    if len(plan.pp.rows[0]) != p:
+    _micro_batches(cfg, partition, model)
+    if len(plan.pp.rows[0]) != cfg.pipeline:
         raise InconsistentPlanError("plan pipeline degree disagrees with config")
     chans = channel_map(channels)
     missing = [
@@ -562,12 +633,23 @@ def simulate_iteration(
     ]
     if missing:
         raise InconsistentPlanError(f"channels missing for groups {missing[:4]}")
+    table = _table_from_rows(topo, cfg, chans, partition, model, cost)
+    return simulate_stages(topo, cfg, table, partition, model, cost)
 
-    costs = _stage_costs(cfg, topo, chans, partition, model, cost)
-    # All pipeline rows share one cluster-span pattern on a validated plan,
-    # so row 1's channel prices every stage boundary.
-    pp_channel = chans[(GroupKind.PP, 1)]
-    hop = cost.comm(_activation_bytes(model), pp_channel) if p > 1 else 0.0
+
+def simulate_stages(
+    topo: ClusterTopology,
+    cfg: ParallelConfig,
+    table: StageTable,
+    partition: PartitionPlan,
+    model: ModelSpec,
+    cost: CostModel,
+) -> SimReport:
+    """:func:`simulate_iteration` on a stage table."""
+    p, m_total = cfg.pipeline, _micro_batches(cfg, partition, model)
+    costs = _stage_costs(cfg, table, partition, model, cost)
+    # The table holds one pipeline channel, which prices every boundary.
+    hop = cost.comm(_activation_bytes(model), table.pp) if p > 1 else 0.0
 
     stages = (
         tuple(c.t_fwd for c in costs),
@@ -625,27 +707,54 @@ def reduce_scatter_report(
     cost: CostModel,
 ) -> list[ReduceScatterEntry]:
     """Per-data-group gradient reduce-scatter seconds, by assigned channel."""
-    cfg = plan.config
+    chans = channel_map(channels)
+    rows = range(1, len(plan.dp.rows) + 1)
+    return _reduce_scatter(
+        plan.config, [chans[(GroupKind.DP, row)] for row in rows], partition, model, cost
+    )
+
+
+def _reduce_scatter(
+    cfg: ParallelConfig,
+    dp_rows: list[ChannelAssignment],
+    partition: PartitionPlan,
+    model: ModelSpec,
+    cost: CostModel,
+) -> list[ReduceScatterEntry]:
+    """:func:`reduce_scatter_report` from each data row's channel, in row
+    order.  A stage's rows that share one channel record, as a stage
+    table's do, are priced once."""
     if len(partition.stage_layers) != cfg.pipeline:
         raise InconsistentPlanError(
             f"partition has {len(partition.stage_layers)} stages, plan wants "
             f"{cfg.pipeline}"
         )
-    chans = channel_map(channels)
     out: list[ReduceScatterEntry] = []
-    for row in range(1, len(plan.dp.rows) + 1):
+    priced = None
+    for row, assignment in enumerate(dp_rows, start=1):
         stage = (row - 1) // cfg.tensor + 1
-        grad_bytes = _stage_grad_bytes(
-            stage, partition.stage_layers[stage - 1], cfg.pipeline, model
-        )
-        assignment = chans[(GroupKind.DP, row)]
-        seconds = cost.reduce_scatter(grad_bytes, cfg.data, assignment)
-        out.append(
-            ReduceScatterEntry(
-                row=row,
-                stage=stage,
-                channel=assignment.channel.value,
-                seconds=seconds,
+        if assignment is not priced or (row - 1) % cfg.tensor == 0:
+            grad_bytes = _stage_grad_bytes(
+                stage, partition.stage_layers[stage - 1], cfg.pipeline, model
             )
-        )
+            fields = (
+                stage,
+                assignment.channel.value,
+                cost.reduce_scatter(grad_bytes, cfg.data, assignment),
+            )
+            priced = assignment
+        out.append(ReduceScatterEntry(row, *fields))
     return out
+
+
+def stage_reduce_scatter(
+    cfg: ParallelConfig,
+    table: StageTable,
+    partition: PartitionPlan,
+    model: ModelSpec,
+    cost: CostModel,
+) -> list[ReduceScatterEntry]:
+    """:func:`reduce_scatter_report` on a stage table: each stage's entry,
+    priced once, repeated for its t data rows."""
+    dp_rows = [c for c in table.dp for _ in range(cfg.tensor)]
+    return _reduce_scatter(cfg, dp_rows, partition, model, cost)

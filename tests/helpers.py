@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+
+from hypothesis import strategies as st
+
 import holmes_planner as hp
 
 IB = hp.NicKind.INFINIBAND
@@ -130,3 +134,86 @@ def full_scenario():
         },
         "notes": "every optional field is set",
     }
+
+
+def valid_degrees(gpus_per_node, cluster_nodes):
+    """Every (t, p, d) that ``groups.validate`` accepts on clusters of
+    ``cluster_nodes`` nodes: t divides a node and every cluster holds a
+    whole number of t*d stage blocks."""
+    sizes = [gpus_per_node * nodes for nodes in cluster_nodes]
+    return [
+        (t, p, d)
+        for t, p, d in factorizations(sum(sizes))
+        if gpus_per_node % t == 0 and all(size % (t * d) == 0 for size in sizes)
+    ]
+
+
+@st.composite
+def scenario_docs(draw, max_gpus=64):
+    """Small scenario documents that pass every diagnostic.
+
+    1-4 clusters, each with an InfiniBand, RoCE or no RDMA NIC, at most
+    ``max_gpus`` GPUs, ``inter_cluster_rdma`` either way, any valid
+    (t, p, d), at least p layers, and either partition strategy.  Device
+    peaks, NIC rates and per-cluster speed overrides vary, so stages and
+    channels differ.  A self-adapting split can still find a cluster short
+    of layers; the planner reports that as an error.
+    """
+    gpus_per_node = draw(st.sampled_from((1, 2, 4, 8)))
+    budget = max_gpus // gpus_per_node
+    n_clusters = draw(st.integers(1, min(4, budget)))
+    nodes = []
+    for i in range(n_clusters):
+        left = budget - sum(nodes) - (n_clusters - 1 - i)
+        nodes.append(draw(st.integers(1, min(left, 8))))
+    t, p, d = draw(st.sampled_from(valid_degrees(gpus_per_node, nodes)))
+    clusters = []
+    for n in nodes:
+        cluster = {
+            "nodes": n,
+            "device_tflops_peak": draw(st.sampled_from((125.0, 312.0, 989.0))),
+        }
+        kind = draw(st.sampled_from(("infiniband", "roce", None)))
+        if kind is not None:
+            cluster["nic"] = {
+                "kind": kind,
+                "bandwidth_gbps": draw(st.sampled_from((100, 200, 400))),
+            }
+        clusters.append(cluster)
+    micro_batch = draw(st.sampled_from((1, 2)))
+    doc = {
+        "topology": {
+            "clusters": clusters,
+            "gpus_per_node": gpus_per_node,
+            "ethernet": {"bandwidth_gbps": draw(st.sampled_from((10, 25, 100)))},
+            "intra_node_bandwidth_gbps": 2400,
+            "inter_cluster_rdma": draw(st.booleans()),
+        },
+        "model": {
+            "layers": draw(st.integers(p, 3 * p + 4)),
+            "hidden": draw(st.sampled_from((256, 1024))),
+            "heads": 8,
+            "seq_len": 512,
+            "global_batch": d * micro_batch * draw(st.integers(1, 6)),
+            "micro_batch": micro_batch,
+        },
+        "parallel": {"t": t, "p": p, "d": d},
+        "partition": {"strategy": draw(st.sampled_from(("uniform", "self_adapting")))},
+        "cost": {"eta": draw(st.sampled_from((0.5, 0.63, 1.0)))},
+    }
+    if draw(st.booleans()):
+        doc["cost"]["cluster_speeds_tflops"] = draw(
+            st.lists(
+                st.sampled_from((90.0, 160.0, 197.0)),
+                min_size=n_clusters,
+                max_size=n_clusters,
+            )
+        )
+    return doc
+
+
+def scenarios(max_gpus=64):
+    """:func:`scenario_docs`, parsed into :class:`ScenarioConfig` values."""
+    return scenario_docs(max_gpus).map(
+        lambda doc: hp.parse_scenario(doc, json.dumps(doc).encode())
+    )

@@ -1,0 +1,52 @@
+"""The benchmark's traced path, read from ``bench/layers.py``, still composes
+the package into the document ``run_scenario`` gives.
+
+``bench/`` is only read: the module source is compiled in memory, so no
+bytecode cache is written there.
+"""
+
+import types
+from pathlib import Path
+
+import holmes_planner as hp
+from holmes_planner import planner
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+SHIPPED = sorted((ROOT / "scenarios").glob("*.json"))
+
+
+def _snapshot():
+    return {p: p.read_bytes() for p in sorted(BENCH.rglob("*")) if p.is_file()}
+
+
+def _bench_layers():
+    path = BENCH / "layers.py"
+    module = types.ModuleType("bench_layers")
+    module.__file__ = str(path)
+    exec(compile(path.read_bytes(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_bench_composed_run_gives_the_run_scenario_document():
+    before = _snapshot()
+    layers = _bench_layers()
+    null = layers.NullTracer()
+    assert len(SHIPPED) == 10
+    for path in SHIPPED:
+        scenario = hp.load_scenario(path)
+        for naive in (False, True):
+            tracer = layers.Tracer()
+            with layers.installed(tracer):
+                composed = layers.run_composed(scenario, naive)
+                traced = layers.dumps(
+                    null, layers.simulate_doc(tracer, scenario, composed, naive)
+                )
+            run = planner.run_scenario(scenario, naive=naive)
+            assert traced == layers.dumps(
+                null, layers.simulate_doc(null, scenario, run, naive)
+            )
+            spans = {span[0] for span in tracer.spans}
+            assert {"groups.build", "simulator.simulate"} <= spans
+            assert "simulator.reduce_scatter" in spans
+    assert _snapshot() == before

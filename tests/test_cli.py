@@ -105,3 +105,16 @@ def test_unwritable_output_paths_exit_malformed(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {absent}: ")
         assert captured.err.count("\n") == 1
+
+
+def test_compare_argument_errors_exit_malformed(tmp_path, capsys):
+    path = _write(tmp_path, full_scenario())
+    assert cli.main(["compare", "--config", path, "holmes"]) == cli.EXIT_MALFORMED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "compare needs at least two strategies\n"
+    argv = ["compare", "--config", path, "holmes", "bogus"]
+    assert cli.main(argv) == cli.EXIT_MALFORMED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("unknown strategy 'bogus'; valid names: holmes, ")
