@@ -10,7 +10,6 @@ from .errors import (
     InfeasibleConfigError,
     InvalidDeviceError,
     InvalidPlanError,
-    InvalidRankError,
     MemoryExceededError,
     NotApplicableError,
     PlannerError,
@@ -30,7 +29,6 @@ from .nic_select import (
     ChannelAssignment,
     ClusterOrdering,
     assign_channels,
-    channel_map,
     naive_channels,
     normalize_topology,
 )

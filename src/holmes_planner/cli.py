@@ -69,12 +69,17 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _report_diagnostics(scenario: ScenarioConfig) -> bool:
+    """Print each diagnostic of ``scenario`` to stderr; True if there was one."""
+    diags = planner.scenario_diagnostics(scenario)
+    for diag in diags:
+        print(str(diag), file=sys.stderr)
+    return bool(diags)
+
+
 def cmd_plan(args) -> int:
     scenario = load_scenario(args.config)
-    diags = planner.scenario_diagnostics(scenario)
-    if diags:
-        for diag in diags:
-            print(str(diag), file=sys.stderr)
+    if _report_diagnostics(scenario):
         return EXIT_INFEASIBLE
     result = planner.plan_scenario(scenario, naive=args.naive)
     if args.format == "json":
@@ -106,10 +111,7 @@ def cmd_plan(args) -> int:
 
 def cmd_partition(args) -> int:
     scenario = load_scenario(args.config)
-    diags = planner.scenario_diagnostics(scenario)
-    if diags:
-        for diag in diags:
-            print(str(diag), file=sys.stderr)
+    if _report_diagnostics(scenario):
         return EXIT_INFEASIBLE
     plan = planner.partition_scenario(scenario)
     for note in plan.warnings:

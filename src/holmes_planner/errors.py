@@ -9,10 +9,6 @@ class TopologyError(PlannerError):
     """A topology value violates a structural invariant."""
 
 
-class InvalidRankError(PlannerError):
-    """A global rank is outside 1..N."""
-
-
 class InfeasibleConfigError(PlannerError):
     """A parallel configuration cannot be realised on the given topology."""
 

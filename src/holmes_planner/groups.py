@@ -9,8 +9,11 @@ three group matrices are fully determined by the global rank numbering:
   the data dimension inside one stage block.
 
 Stage j therefore occupies the contiguous rank block ((j-1)*t*d, j*t*d].
-Group construction is pure algebra; policy questions (which NIC a group may
-use) live in :mod:`holmes_planner.nic_select`.
+Ranks run cluster by cluster, so on a plan that :func:`validate` accepts
+each stage block lies in one cluster, and :func:`stage_clusters` gives the
+cluster hosting each stage without looking up any rank.  Group
+construction is pure algebra; policy questions (which NIC a group may use)
+live in :mod:`holmes_planner.nic_select`.
 """
 
 from __future__ import annotations
@@ -118,6 +121,19 @@ def build_plan(cfg: ParallelConfig, topo: ClusterTopology) -> GroupPlan:
         pp=GroupMatrix(GroupKind.PP, pp),
         dp=GroupMatrix(GroupKind.DP, dp),
     )
+
+
+def stage_clusters(cfg: ParallelConfig, topo: ClusterTopology) -> tuple[int, ...]:
+    """The index of the cluster hosting each pipeline stage, stage 1 first.
+
+    Stages are laid cluster by cluster, as many on each as it holds whole
+    stage blocks.  When :func:`validate` accepts ``cfg`` on ``topo`` there
+    are exactly ``cfg.pipeline`` of them.
+    """
+    block, hosts = cfg.stage_block_size(), []
+    for c in topo.clusters:
+        hosts += [c.index] * (topo.gpus_per_node * c.node_count // block)
+    return tuple(hosts)
 
 
 def validate(cfg: ParallelConfig, topo: ClusterTopology) -> list[Diagnostic]:

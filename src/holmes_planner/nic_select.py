@@ -6,21 +6,22 @@ Every parallel group then receives its own communication channel:
 
 * tensor groups always talk over the intra-node interconnect,
 * pipeline groups ride the cluster RDMA NIC when they fit in one cluster
-  (or a shared RDMA kind when a high-speed interconnect exists), Ethernet
-  otherwise,
-* data groups use the RDMA NIC of the cluster they live in; groups forced
-  to span incompatible NICs fall back to Ethernet with a warning.
+  (or a shared RDMA kind when a high-speed interconnect exists); groups
+  that span incompatible NICs, or clusters joined only by Ethernet, fall
+  back to Ethernet with a warning,
+* data groups use the RDMA NIC of the cluster they live in.
 
 The channel depends only on the set of clusters a group's members sit in.
 On a plan that :func:`holmes_planner.groups.validate` accepts, each data
 group lies in the one cluster that hosts its stage and every pipeline row
-crosses the same clusters, so :func:`stage_channels` gives every row's
-channel from the cluster hosting each stage: the rule runs once for the
+crosses the same clusters, so :func:`stage_channels` gives every channel of
+the plan from the cluster hosting each stage: the rule runs once for the
 pipeline's cluster set and once per cluster, in O(p + clusters).  A
-simulation run prices those channels only.  :func:`assign_channels` writes
-the channels out row by row for a full plan (the ``plan`` command): it maps
-each row's ranks through the topology's rank -> cluster table and runs the
-rule once per distinct (group kind, cluster set).
+simulation run prices those channels only; :func:`write_rows` writes them
+out as one channel per group row, which is what :func:`assign_channels`
+returns for a full plan (the ``plan`` command).  A plan that ``validate``
+rejects, or that is not the one :func:`holmes_planner.groups.build_plan`
+gives, is refused rather than given per-row fallbacks.
 
 ``naive_channels`` models the single-communication-environment baseline:
 once two clusters disagree on NIC kind, every inter-node channel is demoted
@@ -30,11 +31,20 @@ to Ethernet; ``stage_channels(..., naive=True)`` applies the same rule.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain, repeat
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .errors import InvalidPlanError
-from .groups import GroupKind, GroupPlan
+# build_plan and validate are bound here, not read off the module, so a
+# caller that wraps groups.build_plan or groups.validate sees only its calls.
+from .groups import (
+    GroupKind,
+    GroupPlan,
+    ParallelConfig,
+    build_plan as _build_plan,
+    stage_clusters,
+    validate as _validate,
+)
 from .topology import Cluster, ClusterTopology, NicKind, NicSpec
 
 
@@ -140,95 +150,76 @@ def _inter_node_assignment(clusters: tuple[int, ...], topo: ClusterTopology) -> 
     return _record(_bottleneck_nic(nics))
 
 
-def _rows(kind: GroupKind, records) -> list[ChannelAssignment]:
-    make = ChannelAssignment._make
-    return [make((kind, row, *rec)) for row, rec in enumerate(records, start=1)]
-
-
-def _assign(plan: GroupPlan, topo: ClusterTopology, records) -> list[ChannelAssignment]:
-    """Tensor rows on the intra-node link, then one record from
-    ``records(rows)`` for every pipeline and data row.  A plan with no rows
-    of a kind, or with an empty row, is rejected."""
-    if not (plan.tp.rows and plan.pp.rows and plan.dp.rows):
-        raise InvalidPlanError("plan has no groups to assign channels to")
-    for matrix in (plan.tp, plan.pp, plan.dp):
-        if not all(matrix.rows):
-            row = next(i for i, members in enumerate(matrix.rows, start=1) if not members)
-            raise InvalidPlanError(f"{matrix.kind.value} row {row} has no members")
-    out = _rows(GroupKind.TP, repeat(_intra_node(topo), len(plan.tp.rows)))
-    out += _rows(GroupKind.PP, records(plan.pp.rows))
-    out += _rows(GroupKind.DP, records(plan.dp.rows))
-    return out
+def _checked(plan: GroupPlan, topo: ClusterTopology) -> None:
+    """Raise :class:`InvalidPlanError` unless :func:`validate` accepts the
+    plan's config on ``topo`` and the plan is the one :func:`build_plan`
+    gives for it, named by its first row that differs."""
+    diags = _validate(plan.config, topo)
+    if diags:
+        raise InvalidPlanError("; ".join(map(str, diags)))
+    built = _build_plan(plan.config, topo)
+    if plan == built:
+        return
+    for got, want in zip(plan[1:], built[1:]):
+        for row, (members, expected) in enumerate(zip_longest(got.rows, want.rows), 1):
+            if members != expected:
+                raise InvalidPlanError(
+                    f"{want.kind.value} row {row} is {members}, "
+                    f"build_plan gives {expected}"
+                )
+    raise InvalidPlanError("plan's group kinds differ from build_plan's")
 
 
 def assign_channels(plan: GroupPlan, topo: ClusterTopology) -> list[ChannelAssignment]:
-    """One independent channel per group row, NIC-aware.
+    """One channel per group row, NIC-aware, written out from the stage
+    channels of the plan's config.
 
-    Requires a plan that passed :func:`holmes_planner.groups.validate`; on
-    degenerate plans the data-group fallbacks (Ethernet plus warning) keep
-    the assignment total rather than failing.
+    The plan must be one :func:`holmes_planner.groups.validate` accepts,
+    as built by :func:`holmes_planner.groups.build_plan`; any other raises
+    :class:`InvalidPlanError`.
     """
-    owner = topo.rank_clusters.__getitem__
-
-    def records(rows):
-        try:
-            if min(map(min, rows)) < 1:  # the table would read these from its end
-                raise IndexError
-            sets = [frozenset(map(owner, members)) for members in rows]
-        except IndexError:
-            for rank in chain.from_iterable(rows):  # raises on the first bad rank
-                topo.cluster_index(rank)
-            raise
-        rule = {c: _inter_node_assignment(tuple(sorted(c)), topo) for c in set(sets)}
-        return map(rule.__getitem__, sets)
-
-    return _assign(plan, topo, records)
-
-
-def _naive_ethernet(topo: ClusterTopology) -> tuple | None:
-    """The record the unified-environment baseline gives every inter-node
-    group, or None while one NIC kind serves all clusters and the baseline
-    equals the NIC-aware rule."""
-    return _record(topo.ethernet) if len(topo.nic_kinds()) > 1 else None
+    return _written_out(plan, topo, naive=False)
 
 
 def naive_channels(plan: GroupPlan, topo: ClusterTopology) -> list[ChannelAssignment]:
-    """Unified-environment baseline.
+    """Unified-environment baseline, on the plans :func:`assign_channels`
+    takes.
 
     With a single NIC kind everywhere this equals :func:`assign_channels`;
     as soon as two clusters disagree, every inter-node group is limited to
     Ethernet because one communication backend must serve them all.
     """
-    ethernet = _naive_ethernet(topo)
-    if ethernet is None:
-        return assign_channels(plan, topo)
-    return _assign(plan, topo, lambda rows: repeat(ethernet, len(rows)))
+    return _written_out(plan, topo, naive=True)
+
+
+def _written_out(plan: GroupPlan, topo: ClusterTopology, naive: bool) -> list:
+    _checked(plan, topo)
+    cfg = plan.config
+    hosts = stage_clusters(cfg, topo)
+    return write_rows(cfg, *stage_channels(hosts, cfg.tensor, topo, naive))
 
 
 def stage_channels(
-    stage_clusters: tuple[int, ...],
-    tensor: int,
-    topo: ClusterTopology,
-    naive: bool = False,
+    hosts: tuple[int, ...], tensor: int, topo: ClusterTopology, naive: bool = False
 ) -> tuple[ChannelAssignment, ChannelAssignment, tuple[ChannelAssignment, ...]]:
     """Tensor row 1's, pipeline row 1's and each stage's first data row's
-    channel, from ``stage_clusters``, the index of the cluster hosting each
-    stage.
+    channel, from ``hosts``, the index of the cluster hosting each stage
+    (:func:`holmes_planner.groups.stage_clusters`).
 
-    On a plan that passed :func:`holmes_planner.groups.validate` every
+    On a plan that :func:`holmes_planner.groups.validate` accepts, every
     tensor, pipeline and data row has the channel given here for its kind
-    and stage, the same fields :func:`assign_channels` (or, with ``naive``,
-    :func:`naive_channels`) writes out for it.
+    and stage; :func:`write_rows` writes them out.  With ``naive``, once
+    two NIC kinds meet every inter-node channel is Ethernet.
     """
-    ethernet = _naive_ethernet(topo) if naive else None
-    if ethernet is None:
-        pp = _inter_node_assignment(tuple(sorted(set(stage_clusters))), topo)
-        home = {c: _inter_node_assignment((c,), topo) for c in set(stage_clusters)}
+    if naive and len(topo.nic_kinds()) > 1:
+        ethernet = _record(topo.ethernet)
+        pp, home = ethernet, dict.fromkeys(hosts, ethernet)
     else:
-        pp, home = ethernet, dict.fromkeys(stage_clusters, ethernet)
+        pp = _inter_node_assignment(tuple(sorted(set(hosts))), topo)
+        home = {c: _inter_node_assignment((c,), topo) for c in set(hosts)}
     dp = tuple(
         ChannelAssignment(GroupKind.DP, s * tensor + 1, *home[c])
-        for s, c in enumerate(stage_clusters)
+        for s, c in enumerate(hosts)
     )
     return (
         ChannelAssignment(GroupKind.TP, 1, *_intra_node(topo)),
@@ -237,8 +228,20 @@ def stage_channels(
     )
 
 
-def channel_map(
-    assignments: list[ChannelAssignment],
-) -> dict[tuple[GroupKind, int], ChannelAssignment]:
-    """Index assignments by (group kind, row)."""
-    return {(a.kind, a.row): a for a in assignments}
+def write_rows(
+    cfg: ParallelConfig,
+    tp: ChannelAssignment,
+    pp: ChannelAssignment,
+    dp: tuple[ChannelAssignment, ...],
+) -> list[ChannelAssignment]:
+    """Every group row's channel, in the order tensor, pipeline, data: each
+    tensor row gets ``tp``'s fields, each pipeline row ``pp``'s, and data
+    row r those of its stage's ``dp[(r - 1) // t]``, each with its own row."""
+    t, make = cfg.tensor, ChannelAssignment._make
+    out = [make((GroupKind.TP, r, *tp[2:])) for r in range(1, cfg.world_size // t + 1)]
+    out += [make((GroupKind.PP, r, *pp[2:])) for r in range(1, cfg.stage_block_size() + 1)]
+    out += [
+        make((GroupKind.DP, r, *dp[(r - 1) // t][2:]))
+        for r in range(1, cfg.pipeline * t + 1)
+    ]
+    return out

@@ -4,10 +4,13 @@ This is the glue the CLI and tests share.  Cluster ordering is applied
 exactly once, before group construction, so the IB-first numbering and the
 group equations compose without special cases.
 
-A run (:func:`run_scenario`, and through it :func:`run_strategy`) plans
-from a table with one row per pipeline stage, built in O(p + clusters);
-only :func:`plan_scenario` builds the O(N) group matrices and per-row
-channels, for the ``plan`` command and for library callers.
+Every path plans from one table with a row per pipeline stage, built in
+O(p + clusters) from the cluster hosting each stage
+(:func:`holmes_planner.groups.stage_clusters`) and the channels of those
+clusters.  A run (:func:`run_scenario`, and through it
+:func:`run_strategy`) prices the table as it is; :func:`plan_scenario`
+also builds the O(N) group matrices and writes every row's channel out
+from the table, for the ``plan`` command.
 """
 
 from __future__ import annotations
@@ -28,12 +31,12 @@ from .topology import Cluster, ClusterTopology, NicKind, NicSpec
 class PlanResult(NamedTuple):
     """Normalised topology plus what was planned on it.
 
-    :func:`plan_scenario` fills ``plan`` and ``channels``: the group
-    matrices and one channel per group row.  :func:`run_scenario` fills
-    ``stages`` instead, the p-row :class:`~holmes_planner.simulator.StageTable`
-    it simulated, and leaves ``plan`` and ``channels`` None, since building
-    them takes time in proportion to the rank count.  :meth:`to_json_dict`
-    needs the plan and channels.
+    ``stages`` is the p-row :class:`~holmes_planner.simulator.StageTable`
+    planned from.  :func:`plan_scenario` also fills ``plan`` and
+    ``channels``: the group matrices and one channel per group row, written
+    out from the table.  :func:`run_scenario` leaves those two None, since
+    building them takes time in proportion to the rank count.
+    :meth:`to_json_dict` needs the plan and channels.
     """
 
     topology: ClusterTopology
@@ -101,71 +104,45 @@ def _feasible_topology(
 
 
 def plan_scenario(scenario: ScenarioConfig, naive: bool = False) -> PlanResult:
-    """Order clusters, build the three matrices, and assign channels."""
+    """Order clusters, build the three matrices, and write every row's
+    channel out from the scenario's stage table."""
     topo, ordering = _feasible_topology(scenario)
-    plan = groups.build_plan(scenario.parallel, topo)
-    select = nic_select.naive_channels if naive else nic_select.assign_channels
-    return PlanResult(
-        topology=topo,
-        ordering=ordering,
-        config=scenario.parallel,
-        plan=plan,
-        channels=select(plan, topo),
-    )
-
-
-def _stages_per_cluster(topo: ClusterTopology, cfg: ParallelConfig) -> list[int]:
-    block = cfg.stage_block_size()
-    return [topo.gpus_per_node * c.node_count // block for c in topo.clusters]
+    cfg = scenario.parallel
+    table = _stage_table(topo, cfg, scenario.cost, naive)
+    channels = nic_select.write_rows(cfg, table.tp, table.pp, table.dp)
+    return PlanResult(topo, ordering, cfg, groups.build_plan(cfg, topo), channels, table)
 
 
 def _stage_table(
     topo: ClusterTopology, cfg: ParallelConfig, cost: CostModel, naive: bool
 ) -> StageTable:
-    """The stage table of a feasible scenario, in O(p + clusters).
-
-    Stages are laid cluster by cluster, as many on each as it holds stage
-    blocks; the channels follow from the cluster hosting each stage.
-    """
-    counts = _stages_per_cluster(topo, cfg)
-    clusters = tuple(c.index for c, n in zip(topo.clusters, counts) for _ in range(n))
-    speeds = cluster_speeds(topo, cost)
-    tp, pp, dp = nic_select.stage_channels(clusters, cfg.tensor, topo, naive)
-    return StageTable(
-        clusters=clusters,
-        speeds=tuple(speeds[c - 1] for c in clusters),
-        dp=dp,
-        pp=pp,
-        tp=tp,
-    )
-
-
-def cluster_speeds(
-    topo: ClusterTopology, cost: CostModel
-) -> list[float]:
-    """Effective per-device TFLOPS for each cluster, in cluster order."""
-    return [
-        cost.effective_tflops(c.index, c.device_tflops_peak) for c in topo.clusters
-    ]
+    """The stage table of a feasible scenario, in O(p + clusters)."""
+    hosts = groups.stage_clusters(cfg, topo)
+    channels = nic_select.stage_channels(hosts, cfg.tensor, topo, naive)
+    return simulator.stage_table(topo, hosts, cost, channels)
 
 
 def cluster_mem_budgets(
     topo: ClusterTopology,
-    cfg: ParallelConfig,
+    hosts: tuple[int, ...],
     settings: PartitionSettings,
 ) -> list[float]:
     """Per-cluster layer-memory budgets in GB.
 
     Default: device memory times the number of stages a pipeline path
     crosses inside the cluster (each stage hosts its layer slice on one
-    device of the path).  A scenario can override the list directly.
+    device of the path), counted in ``hosts``, the cluster of each stage.
+    A scenario can override the list directly.
     """
-    if settings.cluster_mem_budget_gb is not None:
-        return list(settings.cluster_mem_budget_gb)
-    return [
-        c.device_mem_gb * stages
-        for c, stages in zip(topo.clusters, _stages_per_cluster(topo, cfg))
-    ]
+    budgets = settings.cluster_mem_budget_gb
+    if budgets is not None:
+        if len(budgets) != len(topo.clusters):
+            raise InfeasibleConfigError(
+                f"partition.cluster_mem_budget_gb gives {len(budgets)} budgets for "
+                f"{len(topo.clusters)} clusters"
+            )
+        return list(budgets)
+    return [c.device_mem_gb * hosts.count(c.index) for c in topo.clusters]
 
 
 def partition_scenario(
@@ -185,18 +162,17 @@ def partition_scenario(
     settings = scenario.partition
     strategy = strategy or settings.strategy
     mem_per_layer = model.layer_mem_gb()
-    budgets = cluster_mem_budgets(topo, cfg, settings)
+    hosts = groups.stage_clusters(cfg, topo)
+    budgets = cluster_mem_budgets(topo, hosts, settings)
 
     clamp_notes: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if strategy is PartitionStrategy.UNIFORM:
             stage_layers = partition_mod.uniform_partition(model.layers, cfg.pipeline)
-            stages_each = _stages_per_cluster(topo, cfg)
-            cluster_layers, pos = [], 0
-            for count in stages_each:
-                cluster_layers.append(sum(stage_layers[pos : pos + count]))
-                pos += count
+            cluster_layers = [0] * len(topo.clusters)
+            for c, layers in zip(hosts, stage_layers):
+                cluster_layers[c - 1] += layers
             partition_mod.check_memory(cluster_layers, mem_per_layer, budgets)
             plan = PartitionPlan(
                 strategy=PartitionStrategy.UNIFORM,
@@ -204,7 +180,7 @@ def partition_scenario(
                 cluster_layers=tuple(cluster_layers),
             )
         else:
-            speeds = cluster_speeds(topo, scenario.cost)
+            speeds = simulator.cluster_speeds(topo, scenario.cost)
             m = len(topo.clusters)
             # multi_cluster_alloc pads an m-1 list for the last cluster.
             alphas = (
@@ -270,7 +246,7 @@ def scenario_reduce_scatter(
             planned.plan, planned.channels, part, model, cost
         )
     return simulator.stage_reduce_scatter(
-        planned.config, planned.stages, part, model, cost
+        planned.config, planned.stages.dp, part, model, cost
     )
 
 

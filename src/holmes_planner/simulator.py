@@ -2,12 +2,14 @@
 communication cost model.
 
 A run prices a per-stage table (:class:`StageTable`): for each of the p
-stages, the cluster hosting it, that cluster's effective device speed and
-the stage's data-parallel channel, plus the one pipeline and the one tensor
-channel.  On a validated plan these are all the channels the plan holds,
-so a run's cost does not grow with the rank count.
-:func:`simulate_iteration` and :func:`reduce_scatter_report` take a full
-group plan and its per-row channels, read the same table off the rows, and
+stages, the cluster hosting it (:func:`holmes_planner.groups.stage_clusters`),
+that cluster's effective device speed and the stage's data-parallel
+channel, plus the one pipeline and the one tensor channel.  On a validated
+plan these are all the channels the plan holds, so a run's cost does not
+grow with the rank count.  :func:`simulate_iteration` and
+:func:`reduce_scatter_report` take a full group plan and its per-row
+channels, read the table back from the rows, refuse rows that are not one
+table written out by :func:`holmes_planner.nic_select.write_rows`, and
 price it with the same code.
 
 One training iteration is simulated per stage lane: the devices of a stage
@@ -48,8 +50,8 @@ from .errors import (
     InvalidDeviceError,
     NotApplicableError,
 )
-from .groups import GroupKind, GroupPlan, ParallelConfig
-from .nic_select import ChannelAssignment, channel_map
+from .groups import GroupPlan, ParallelConfig, stage_clusters
+from .nic_select import ChannelAssignment, write_rows
 from .partition import ModelSpec, PartitionPlan
 from .topology import ClusterTopology
 
@@ -136,6 +138,30 @@ class StageTable(NamedTuple):
     dp: tuple[ChannelAssignment, ...]
     pp: ChannelAssignment
     tp: ChannelAssignment
+
+
+def cluster_speeds(topo: ClusterTopology, cost: CostModel) -> list[float]:
+    """Effective per-device TFLOPS for each cluster, in cluster order."""
+    speeds = cost.cluster_speeds_tflops
+    if speeds is not None and len(speeds) != len(topo.clusters):
+        raise InfeasibleConfigError(
+            f"cost.cluster_speeds_tflops gives {len(speeds)} speeds for "
+            f"{len(topo.clusters)} clusters"
+        )
+    return [cost.effective_tflops(c.index, c.device_tflops_peak) for c in topo.clusters]
+
+
+def stage_table(
+    topo: ClusterTopology,
+    clusters: tuple[int, ...],
+    cost: CostModel,
+    channels: tuple[ChannelAssignment, ChannelAssignment, tuple[ChannelAssignment, ...]],
+) -> StageTable:
+    """The table of the stages hosted on ``clusters`` of ``topo``, with the
+    tensor, pipeline and per-stage data channels in ``channels``."""
+    tp, pp, dp = channels
+    speeds = cluster_speeds(topo, cost)
+    return StageTable(clusters, tuple(speeds[c - 1] for c in clusters), dp, pp, tp)
 
 
 class StageEvent(NamedTuple):
@@ -569,40 +595,25 @@ def _micro_batches(cfg: ParallelConfig, partition: PartitionPlan, model: ModelSp
     return m_total
 
 
-def _table_from_rows(
-    topo: ClusterTopology,
-    cfg: ParallelConfig,
-    chans: dict,
-    partition: PartitionPlan,
-    model: ModelSpec,
-    cost: CostModel,
-) -> StageTable:
-    """The stage table of a plan given row by row: each stage's cluster is
-    its first rank's, its data channel the one of its rows whose gradient
-    sync costs most, and pipeline row 1 and tensor row 1 give the others."""
-    t, p = cfg.tensor, cfg.pipeline
-    block = cfg.stage_block_size()
-    clusters = tuple(topo.cluster_index(s * block + 1) for s in range(p))
-    dp = []
-    for stage, layers_here in enumerate(partition.stage_layers, start=1):
-        grad_bytes = _stage_grad_bytes(stage, layers_here, p, model)
-        rows = range((stage - 1) * t + 1, stage * t + 1)
-        dp.append(
-            max(
-                (chans[(GroupKind.DP, row)] for row in rows),
-                key=lambda c: _dp_sync(grad_bytes, cfg.data, c, cost),
-            )
+def _read_rows(cfg: ParallelConfig, channels: list[ChannelAssignment]) -> tuple:
+    """The tensor, pipeline and per-stage data channels that ``channels``
+    writes out, in the row order :func:`write_rows` gives; rows that are not
+    one stage table written out raise."""
+    tp_rows, t = cfg.world_size // cfg.tensor, cfg.tensor
+    first_dp = tp_rows + cfg.stage_block_size()
+    if len(channels) != first_dp + cfg.pipeline * t:
+        raise InconsistentPlanError(
+            f"{len(channels)} channel rows, the plan has {first_dp + cfg.pipeline * t}"
         )
-    return StageTable(
-        clusters=clusters,
-        speeds=tuple(
-            cost.effective_tflops(c, topo.clusters[c - 1].device_tflops_peak)
-            for c in clusters
-        ),
-        dp=tuple(dp),
-        pp=chans[(GroupKind.PP, 1)],
-        tp=chans[(GroupKind.TP, 1)],
-    )
+    tp, pp = channels[0], channels[tp_rows]
+    dp = tuple(channels[first_dp + s * t] for s in range(cfg.pipeline))
+    rows = write_rows(cfg, tp, pp, dp)
+    if list(channels) != rows:
+        want = next(want for got, want in zip(channels, rows) if got != want)
+        raise InconsistentPlanError(
+            f"{want.kind.value} row {want.row} does not carry its stage's channel"
+        )
+    return tp, pp, dp
 
 
 def simulate_iteration(
@@ -616,24 +627,16 @@ def simulate_iteration(
 ) -> SimReport:
     """Run the 1F1B schedule and report iteration metrics.
 
-    The plan must have been channel-assigned for this topology and the
-    partition must cover the configured pipeline depth; shape mismatches
-    raise rather than mis-simulate.  The plan's rows are read into a
+    ``channels`` must be one channel per group row of ``plan``, as
+    :func:`holmes_planner.nic_select.assign_channels` writes them out, and
+    the partition must cover the configured pipeline depth; shape mismatches
+    raise rather than mis-simulate.  The rows are read back into a
     :class:`StageTable`, which is then priced as a run prices it.
     """
     _micro_batches(cfg, partition, model)
     if len(plan.pp.rows[0]) != cfg.pipeline:
         raise InconsistentPlanError("plan pipeline degree disagrees with config")
-    chans = channel_map(channels)
-    missing = [
-        (kind.value, row)
-        for kind, matrix in ((GroupKind.TP, plan.tp), (GroupKind.DP, plan.dp), (GroupKind.PP, plan.pp))
-        for row in range(1, len(matrix.rows) + 1)
-        if (kind, row) not in chans
-    ]
-    if missing:
-        raise InconsistentPlanError(f"channels missing for groups {missing[:4]}")
-    table = _table_from_rows(topo, cfg, chans, partition, model, cost)
+    table = stage_table(topo, stage_clusters(cfg, topo), cost, _read_rows(cfg, channels))
     return simulate_stages(topo, cfg, table, partition, model, cost)
 
 
@@ -706,55 +709,34 @@ def reduce_scatter_report(
     model: ModelSpec,
     cost: CostModel,
 ) -> list[ReduceScatterEntry]:
-    """Per-data-group gradient reduce-scatter seconds, by assigned channel."""
-    chans = channel_map(channels)
-    rows = range(1, len(plan.dp.rows) + 1)
-    return _reduce_scatter(
-        plan.config, [chans[(GroupKind.DP, row)] for row in rows], partition, model, cost
-    )
+    """Per-data-group gradient reduce-scatter seconds, by assigned channel;
+    ``channels`` are read back as :func:`simulate_iteration` reads them."""
+    _, _, dp = _read_rows(plan.config, channels)
+    return stage_reduce_scatter(plan.config, dp, partition, model, cost)
 
 
-def _reduce_scatter(
+def stage_reduce_scatter(
     cfg: ParallelConfig,
-    dp_rows: list[ChannelAssignment],
+    dp: tuple[ChannelAssignment, ...],
     partition: PartitionPlan,
     model: ModelSpec,
     cost: CostModel,
 ) -> list[ReduceScatterEntry]:
-    """:func:`reduce_scatter_report` from each data row's channel, in row
-    order.  A stage's rows that share one channel record, as a stage
-    table's do, are priced once."""
+    """:func:`reduce_scatter_report` from a stage table's data channels:
+    each stage's entry, priced once on ``dp[s]`` and repeated for its t data
+    rows, in row order."""
     if len(partition.stage_layers) != cfg.pipeline:
         raise InconsistentPlanError(
             f"partition has {len(partition.stage_layers)} stages, plan wants "
             f"{cfg.pipeline}"
         )
-    out: list[ReduceScatterEntry] = []
-    priced = None
-    for row, assignment in enumerate(dp_rows, start=1):
-        stage = (row - 1) // cfg.tensor + 1
-        if assignment is not priced or (row - 1) % cfg.tensor == 0:
-            grad_bytes = _stage_grad_bytes(
-                stage, partition.stage_layers[stage - 1], cfg.pipeline, model
-            )
-            fields = (
-                stage,
-                assignment.channel.value,
-                cost.reduce_scatter(grad_bytes, cfg.data, assignment),
-            )
-            priced = assignment
-        out.append(ReduceScatterEntry(row, *fields))
+    t, out = cfg.tensor, []
+    for stage, (layers_here, channel) in enumerate(zip(partition.stage_layers, dp), 1):
+        grad_bytes = _stage_grad_bytes(stage, layers_here, cfg.pipeline, model)
+        seconds = cost.reduce_scatter(grad_bytes, cfg.data, channel)
+        first = (stage - 1) * t + 1
+        out += [
+            ReduceScatterEntry(row, stage, channel.channel.value, seconds)
+            for row in range(first, first + t)
+        ]
     return out
-
-
-def stage_reduce_scatter(
-    cfg: ParallelConfig,
-    table: StageTable,
-    partition: PartitionPlan,
-    model: ModelSpec,
-    cost: CostModel,
-) -> list[ReduceScatterEntry]:
-    """:func:`reduce_scatter_report` on a stage table: each stage's entry,
-    priced once, repeated for its t data rows."""
-    dp_rows = [c for c in table.dp for _ in range(cfg.tensor)]
-    return _reduce_scatter(cfg, dp_rows, partition, model, cost)

@@ -3,21 +3,18 @@
 Devices are numbered 1..N cluster by cluster, node by node: with G GPUs per
 node and n_i nodes in cluster i, the j-th GPU in the k-th node of cluster i
 gets rank G*(n_1 + ... + n_(i-1) + k - 1) + j.  So cluster i owns the ranks
-R_(i-1) + 1 .. R_i, where R_i = G*(n_1 + ... + n_i).
-:attr:`ClusterTopology.rank_clusters` writes that rule out once per topology
-as a tuple indexed by rank, built on first use from the running totals, and
-:meth:`ClusterTopology.cluster_index` reads the owner of a rank from it after
-a range check.  All values here are immutable after construction and safe
-to share across threads.
+R_(i-1) + 1 .. R_i, where R_i = G*(n_1 + ... + n_i).  Nothing here looks a
+rank up: :func:`holmes_planner.groups.stage_clusters` reads the same rule
+per pipeline stage.  All values here are immutable after construction and
+safe to share across threads.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from functools import cached_property
 
-from .errors import InvalidRankError, TopologyError
+from .errors import TopologyError
 
 DEFAULT_RDMA_LATENCY_S = 5e-6
 DEFAULT_ETHERNET_LATENCY_S = 30e-6
@@ -107,7 +104,7 @@ class ClusterTopology(
     sequence it is given as.
     """
 
-    # No __slots__: instances keep a __dict__ for rank_clusters' cache.
+    __slots__ = ()
 
     def __new__(
         cls,
@@ -152,27 +149,6 @@ class ClusterTopology(
     @property
     def total_devices(self) -> int:
         return self.gpus_per_node * self.total_nodes
-
-    @cached_property
-    def rank_clusters(self) -> tuple[int, ...]:
-        """Entry r is the 1-based index of the cluster that owns rank r.
-
-        Built once per topology, on first use, by laying each cluster's
-        G*n_i ranks after those of the clusters before it; entry 0 is a
-        placeholder 0, as no device has rank 0.
-        """
-        owners = [0]
-        for c in self.clusters:
-            owners += [c.index] * (self.gpus_per_node * c.node_count)
-        return tuple(owners)
-
-    def cluster_index(self, rank: int) -> int:
-        """Rank -> 1-based index of the cluster that owns it; out-of-range
-        ranks raise."""
-        table = self.rank_clusters
-        if not 1 <= rank < len(table):
-            raise InvalidRankError(f"rank {rank} out of range 1..{len(table) - 1}")
-        return table[rank]
 
     def nic_kinds(self) -> set[NicKind]:
         return {c.rdma_nic.kind for c in self.clusters}

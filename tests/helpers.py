@@ -7,6 +7,7 @@ import json
 from hypothesis import strategies as st
 
 import holmes_planner as hp
+from holmes_planner import nic_select
 
 IB = hp.NicKind.INFINIBAND
 ROCE = hp.NicKind.ROCE
@@ -48,6 +49,44 @@ def mixed_topo_16():
 
 def single_topo(n_nodes=2, gpus_per_node=4, kind=IB, bw=200.0):
     return make_topo([(kind, bw, n_nodes)], gpus_per_node=gpus_per_node)
+
+
+def owners_by_running_sizes(topo):
+    """Rank -> cluster index, walking the clusters' running device counts."""
+    owners, rank = {}, 0
+    for cluster in topo.clusters:
+        for _ in range(topo.gpus_per_node * cluster.node_count):
+            rank += 1
+            owners[rank] = cluster.index
+    return owners
+
+
+def per_member_channels(plan, topo, naive=False):
+    """Channels worked out row by row: each row's cluster set from the owner
+    of every member (:func:`owners_by_running_sizes`), then the channel
+    rule."""
+    owners = owners_by_running_sizes(topo)
+    demoted = naive and len(topo.nic_kinds()) > 1
+    out = [
+        hp.ChannelAssignment(
+            hp.GroupKind.TP,
+            row,
+            hp.Channel.INTRA_NODE,
+            topo.intra_node_bandwidth_gbps,
+            topo.intra_node_latency_s,
+        )
+        for row in range(1, len(plan.tp.rows) + 1)
+    ]
+    for matrix in (plan.pp, plan.dp):
+        for row, members in enumerate(matrix.rows, start=1):
+            if demoted:
+                eth = topo.ethernet
+                record = (hp.Channel.ETHERNET, eth.bandwidth_gbps, eth.latency_s, None)
+            else:
+                clusters = tuple(sorted({owners[r] for r in members}))
+                record = nic_select._inter_node_assignment(clusters, topo)
+            out.append(hp.ChannelAssignment(matrix.kind, row, *record))
+    return out
 
 
 def small_model(**overrides):

@@ -46,7 +46,16 @@ def test_bench_composed_run_gives_the_run_scenario_document():
             assert traced == layers.dumps(
                 null, layers.simulate_doc(null, scenario, run, naive)
             )
-            spans = {span[0] for span in tracer.spans}
-            assert {"groups.build", "simulator.simulate"} <= spans
-            assert "simulator.reduce_scatter" in spans
+            names = [span[0] for span in tracer.spans]
+            assert {"simulator.simulate", "simulator.reduce_scatter"} <= set(names)
+            assert ("nic_select.naive" if naive else "nic_select.assign") in names
+            # the channel check inside assign_channels and naive_channels
+            # builds and validates the plan without adding spans or counts
+            assert names.count("groups.build") == names.count("groups.validate") == 1
+            cfg = scenario.parallel
+            t, p, d = cfg
+            rows = cfg.world_size // t + t * d + p * t
+            counts = tracer.counts[tracer.op]
+            assert counts["groups.rows"] == rows
+            assert counts["nic_select.assignments"] == (0 if naive else rows)
     assert _snapshot() == before

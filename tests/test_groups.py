@@ -3,7 +3,16 @@ import json
 import pytest
 
 import holmes_planner as hp
-from helpers import IB, ROCE, factorizations, make_topo, mixed_topo_16, single_topo
+from helpers import (
+    IB,
+    ROCE,
+    factorizations,
+    make_topo,
+    mixed_topo_16,
+    owners_by_running_sizes,
+    single_topo,
+)
+from holmes_planner.groups import stage_clusters
 
 
 def plan_n8():
@@ -23,8 +32,10 @@ def test_mixed_topo_first_rows():
     assert plan.tp.rows[0] == (1, 2)
     assert plan.pp.rows[0] == (1, 5, 9, 13)
     assert plan.dp.rows[0] == (1, 3)
-    # first data group stays inside cluster 1
-    assert {mixed_topo_16().cluster_index(r) for r in plan.dp.rows[0]} == {1}
+    # first data group stays inside cluster 1, the host of stage 1
+    owners = owners_by_running_sizes(mixed_topo_16())
+    assert {owners[r] for r in plan.dp.rows[0]} == {1}
+    assert stage_clusters(cfg, mixed_topo_16())[0] == 1
 
 
 def test_degenerate_degrees_yield_singletons():
@@ -94,8 +105,9 @@ def test_partition_property_all_factorizations(n):
 def test_tp_rows_node_local():
     topo = mixed_topo_16()
     plan = hp.build_plan(hp.ParallelConfig(2, 4, 2), topo)
+    owners = owners_by_running_sizes(topo)
     for row in plan.tp.rows:
-        homes = {(topo.cluster_index(r), (r - 1) // topo.gpus_per_node) for r in row}
+        homes = {(owners[r], (r - 1) // topo.gpus_per_node) for r in row}
         assert len(homes) == 1
 
 

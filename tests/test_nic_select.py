@@ -4,14 +4,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import holmes_planner as hp
-from helpers import ETH, IB, ROCE, factorizations, make_topo, mixed_topo_16, single_topo
+from helpers import (
+    ETH,
+    IB,
+    ROCE,
+    factorizations,
+    make_topo,
+    mixed_topo_16,
+    owners_by_running_sizes,
+    per_member_channels,
+    single_topo,
+)
 from holmes_planner import nic_select
 
 
 def channels_for(topo, cfg, naive=False):
     plan = hp.build_plan(cfg, topo)
     select = hp.naive_channels if naive else hp.assign_channels
-    return plan, hp.channel_map(select(plan, topo))
+    return plan, {(a.kind, a.row): a for a in select(plan, topo)}
 
 
 def test_order_clusters_roce_then_ib():
@@ -89,15 +99,21 @@ def test_pp_cross_cluster_with_interconnect_and_same_kind():
     assert pp1.bandwidth_gbps == 100.0  # bottleneck bandwidth
 
 
-def test_dp_mixed_kind_gets_ethernet_with_warning():
-    # stage block (t*d = 8) larger than either 4-GPU cluster: data groups
-    # are forced across the incompatible NICs
+def test_plan_whose_data_groups_cross_clusters_is_rejected():
+    # stage block (t*d = 8) larger than either 4-GPU cluster: validate
+    # rejects the plan, so no channel is assigned to it
     topo = make_topo([(IB, 200.0, 1), (ROCE, 200.0, 1)], gpus_per_node=4)
     plan = hp.build_plan(hp.ParallelConfig(2, 1, 4), topo)
-    chans = hp.channel_map(hp.assign_channels(plan, topo))
-    dp1 = chans[(hp.GroupKind.DP, 1)]
-    assert dp1.channel is hp.Channel.ETHERNET
-    assert dp1.warning is not None
+    for select in (hp.assign_channels, hp.naive_channels):
+        with pytest.raises(hp.InvalidPlanError, match="^STAGE_STRADDLES_CLUSTER: "):
+            select(plan, topo)
+
+
+def test_group_across_mixed_kinds_gets_ethernet_with_warning():
+    _, chans = channels_for(mixed_topo_16(), hp.ParallelConfig(2, 4, 2))
+    pp1 = chans[(hp.GroupKind.PP, 1)]
+    assert pp1.channel is hp.Channel.ETHERNET
+    assert pp1.warning == "members span mixed NIC kinds ['infiniband', 'roce']"
 
 
 def test_naive_demotes_everything_on_mixed_topology():
@@ -136,7 +152,8 @@ def test_empty_group_row_rejected(kind, naive):
     matrix = hp.GroupMatrix(hp.GroupKind(kind), (rows[0], (), *rows[2:]))
     broken = hp.GroupPlan(**{**plan._asdict(), kind: matrix})
     select = hp.naive_channels if naive else hp.assign_channels
-    with pytest.raises(hp.InvalidPlanError, match=f"^{kind} row 2 has no members$"):
+    message = rf"^{kind} row 2 is \(\), build_plan gives \("
+    with pytest.raises(hp.InvalidPlanError, match=message):
         select(broken, topo)
 
 
@@ -190,38 +207,13 @@ def test_no_channel_ever_mixes_ib_and_roce():
         topo, cfg = case
         plan = hp.build_plan(cfg, topo)
         matrices = {m.kind: m for m in (plan.tp, plan.pp, plan.dp)}
+        owners = owners_by_running_sizes(topo)
         for a in hp.assign_channels(plan, topo):
             members = matrices[a.kind].rows[a.row - 1]
-            kinds = {topo.clusters[topo.cluster_index(r) - 1].rdma_nic.kind for r in members}
+            kinds = {topo.clusters[owners[r] - 1].rdma_nic.kind for r in members}
             if a.channel in (hp.Channel.INFINIBAND, hp.Channel.ROCE):
                 assert kinds == {hp.NicKind(a.channel.value)}
         checked += 1
-
-
-def _per_member_channels(plan, topo, naive=False):
-    """Channels worked out row by row: each row's cluster set from
-    ``cluster_index`` on every member, then the channel rule."""
-    demoted = naive and len(topo.nic_kinds()) > 1
-    out = [
-        hp.ChannelAssignment(
-            hp.GroupKind.TP,
-            row,
-            hp.Channel.INTRA_NODE,
-            topo.intra_node_bandwidth_gbps,
-            topo.intra_node_latency_s,
-        )
-        for row in range(1, len(plan.tp.rows) + 1)
-    ]
-    for matrix in (plan.pp, plan.dp):
-        for row, members in enumerate(matrix.rows, start=1):
-            if demoted:
-                eth = topo.ethernet
-                record = (hp.Channel.ETHERNET, eth.bandwidth_gbps, eth.latency_s, None)
-            else:
-                clusters = tuple(sorted({topo.cluster_index(r) for r in members}))
-                record = nic_select._inter_node_assignment(clusters, topo)
-            out.append(hp.ChannelAssignment(matrix.kind, row, *record))
-    return out
 
 
 @st.composite
@@ -258,7 +250,11 @@ def _topo_and_plan(draw):
 def test_channels_equal_the_per_member_reference(case, naive):
     topo, plan = case
     select = hp.naive_channels if naive else hp.assign_channels
-    assert select(plan, topo) == _per_member_channels(plan, topo, naive)
+    if hp.validate(plan.config, topo):
+        with pytest.raises(hp.InvalidPlanError):
+            select(plan, topo)
+    else:
+        assert select(plan, topo) == per_member_channels(plan, topo, naive)
 
 
 @pytest.mark.parametrize(
@@ -282,7 +278,8 @@ def test_rank_outside_the_topology_raises(pp_rank, dp_rank, bad):
         pp=with_rank(plan.pp, pp_rank),
         dp=with_rank(plan.dp, dp_rank),
     )
-    with pytest.raises(hp.InvalidRankError, match=rf"^rank {bad} out of range 1\.\.16$"):
+    kind = "pp" if pp_rank is not None else "dp"
+    with pytest.raises(hp.InvalidPlanError, match=rf"^{kind} row 2 is \(2, {bad}[,)]"):
         hp.assign_channels(broken, topo)
 
 
@@ -295,7 +292,7 @@ def test_rule_runs_once_per_distinct_cluster_set(monkeypatch, inter_rdma):
         inter_rdma=inter_rdma,
     )
     plan = hp.build_plan(hp.ParallelConfig(8, 16, 64), topo)
-    expected = _per_member_channels(plan, topo)
+    expected = per_member_channels(plan, topo)
     rule = nic_select._inter_node_assignment
     calls = []
 
@@ -305,8 +302,9 @@ def test_rule_runs_once_per_distinct_cluster_set(monkeypatch, inter_rdma):
 
     monkeypatch.setattr(nic_select, "_inter_node_assignment", counted)
     assert hp.assign_channels(plan, topo) == expected
+    owners = owners_by_running_sizes(topo)
     distinct = {
-        (matrix.kind, frozenset(map(topo.cluster_index, members)))
+        (matrix.kind, frozenset(owners[r] for r in members))
         for matrix in (plan.pp, plan.dp)
         for members in matrix.rows
     }

@@ -1,10 +1,12 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 import holmes_planner as hp
 from helpers import IB, mixed_topo_16, single_topo
+from holmes_planner.config import PartitionSettings
 
 
 def test_uniform_even_split():
@@ -167,3 +169,37 @@ def test_partition_plan_serialization_keys():
     doc = plan.to_json_dict()
     assert list(doc) == ["strategy", "alpha", "stage_layers", "cluster_layers"]
     assert doc["alpha"] == [1.05]
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+WRONG_LENGTH = {
+    "speeds": (
+        "cost",
+        hp.CostModel(cluster_speeds_tflops=(197.0,)),
+        "cost.cluster_speeds_tflops gives 1 speeds for 2 clusters",
+    ),
+    "budgets": (
+        "partition",
+        PartitionSettings(cluster_mem_budget_gb=(20.0,)),
+        "partition.cluster_mem_budget_gb gives 1 budgets for 2 clusters",
+    ),
+}
+
+
+@pytest.mark.parametrize("field,value,message", WRONG_LENGTH.values(), ids=WRONG_LENGTH)
+def test_per_cluster_list_of_the_wrong_length_is_rejected(field, value, message):
+    # Built in library code: a parsed scenario has one entry per cluster.
+    scenario = hp.load_scenario(SCENARIOS / "gpt_3p6b_hybrid.json")
+    scenario = scenario._replace(**{field: value})
+    for strategy in hp.PartitionStrategy:
+        with pytest.raises(hp.InfeasibleConfigError) as raised:
+            hp.run_scenario(scenario, strategy=strategy)
+        assert str(raised.value) == message
+
+
+def test_uniform_split_checks_the_last_clusters_memory():
+    # 15 layers of about 1.08 GB on each cluster: 20 GB fits, 10 GB does not.
+    scenario = hp.load_scenario(SCENARIOS / "gpt_3p6b_hybrid.json")
+    settings = PartitionSettings(cluster_mem_budget_gb=(20.0, 10.0))
+    with pytest.raises(hp.MemoryExceededError, match="^cluster 2: 15 layers"):
+        hp.partition_scenario(scenario._replace(partition=settings))

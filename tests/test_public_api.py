@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "InfeasibleConfigError",
     "InvalidDeviceError",
     "InvalidPlanError",
-    "InvalidRankError",
     "MemoryExceededError",
     "ModelSpec",
     "NicKind",
@@ -42,7 +41,6 @@ PUBLIC_NAMES = [
     "analytic_makespan",
     "assign_channels",
     "build_plan",
-    "channel_map",
     "check_memory",
     "flops_per_iteration",
     "load_scenario",
@@ -75,4 +73,4 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(hp, name), types.ModuleType)
     )
     assert exported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 59
+    assert len(PUBLIC_NAMES) == 57

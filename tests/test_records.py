@@ -212,7 +212,6 @@ def test_sim_report_equality_and_repr_leave_out_the_kept_schedule():
 
 def test_records_survive_copy_and_pickle():
     topo = mixed_topo_16()
-    topo.cluster_index(1)  # fills the rank table cache
     scenario = hp.parse_scenario(full_scenario(), b"{}")
     report, planned, part = hp.run_scenario(scenario)
     for record in (topo, scenario, report, planned, part):

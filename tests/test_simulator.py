@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import holmes_planner as hp
-from helpers import single_topo, small_model, uniform_plan
+from helpers import mixed_topo_16, single_topo, small_model, uniform_plan
 from holmes_planner import cli, planner, simulator
 from holmes_planner.simulator import StageEvent, chrome_trace
 
@@ -300,3 +300,38 @@ def test_timeline_is_built_on_first_read():
     dp_sync = [e for e in timeline if e.op == "dp_sync"]
     assert 0 < len(dp_sync) <= p
     assert len(timeline) == 2 * p * m + len(dp_sync)
+
+
+def _row_level_inputs():
+    """mixed_topo_16 with t=2, p=4, d=2: two data rows per stage."""
+    topo = mixed_topo_16()
+    cfg = hp.ParallelConfig(2, 4, 2)
+    plan = hp.build_plan(cfg, topo)
+    model = small_model()
+    channels = hp.assign_channels(plan, topo)
+    return topo, cfg, plan, channels, uniform_plan(8, 4, [4, 4]), model
+
+
+def _broken_rows(channels):
+    dp1 = next(i for i, a in enumerate(channels) if a.kind is hp.GroupKind.DP)
+    missing = channels[:dp1] + channels[dp1 + 1 :]
+    other = channels[dp1 + 1]._replace(bandwidth_gbps=channels[dp1].bandwidth_gbps / 2)
+    differs = channels[: dp1 + 1] + [other] + channels[dp1 + 2 :]
+    return {
+        "missing-row": (missing, r"^19 channel rows, the plan has 20$"),
+        "dp-row-2-differs": (differs, r"^dp row 2 does not carry its stage's channel$"),
+    }
+
+
+@pytest.mark.parametrize("case", ["missing-row", "dp-row-2-differs"])
+def test_rows_that_are_not_one_stage_table_are_rejected(case):
+    topo, cfg, plan, channels, part, model = _row_level_inputs()
+    cost = hp.CostModel()
+    rows, message = _broken_rows(channels)[case]
+    with pytest.raises(hp.InconsistentPlanError, match=message):
+        hp.simulate_iteration(topo, cfg, plan, rows, part, model, cost)
+    with pytest.raises(hp.InconsistentPlanError, match=message):
+        hp.reduce_scatter_report(plan, rows, part, model, cost)
+    # the rows as written out are accepted by both
+    hp.simulate_iteration(topo, cfg, plan, channels, part, model, cost)
+    assert len(hp.reduce_scatter_report(plan, channels, part, model, cost)) == 8

@@ -1,9 +1,14 @@
-"""A run plans from a p-row stage table; the full group plan, the per-row
-channels and the rank table are built only for ``plan``.
+"""Every path plans from one p-row stage table; a run builds nothing
+else, and only ``plan`` builds the full group plan and writes each row's
+channel out from the table.
 
-The property checks the table path against the row-level path it replaces
+The property checks a run against the library's row-level path
 (``build_plan`` -> ``assign_channels``/``naive_channels`` ->
-``simulate_iteration`` -> ``reduce_scatter_report``), with exact equality.
+``simulate_iteration`` -> ``reduce_scatter_report``) with exact equality.
+Both read the same table, so the table itself is checked against
+independent references: each stage's cluster against the owner of its
+ranks (``owners_by_running_sizes``), and each row's channel against the
+rule applied to its members' clusters (``per_member_channels``).
 """
 
 from pathlib import Path
@@ -12,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 import holmes_planner as hp
-from helpers import scenarios
+from helpers import owners_by_running_sizes, per_member_channels, scenarios
 from holmes_planner import groups, nic_select, planner
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -54,15 +59,18 @@ def test_run_on_the_stage_table_equals_the_row_level_run(scenario):
 
         table = planned.stages
         block = cfg.stage_block_size()
-        assert table.clusters == tuple(
-            topo.cluster_index(s * block + 1) for s in range(cfg.pipeline)
-        )
-        for a in channels:
+        owners = owners_by_running_sizes(topo)
+        assert table.clusters == tuple(owners[s * block + 1] for s in range(cfg.pipeline))
+        reference = per_member_channels(hp.build_plan(cfg, topo), topo, naive)
+        assert channels == reference
+        for a in reference:
             if a.kind is hp.GroupKind.DP:
                 expected = table.dp[(a.row - 1) // cfg.tensor]
             else:
                 expected = table.tp if a.kind is hp.GroupKind.TP else table.pp
             assert a[2:] == expected[2:]  # every field but the kind and row
+        planned_rows = planner.plan_scenario(scenario, naive=naive)
+        assert planned_rows.channels == reference and planned_rows.stages == table
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -79,6 +87,6 @@ def test_runs_build_no_group_plan_channel_rows_or_rank_table(name, monkeypatch):
         assert report.iter_time_s > 0
         assert planned.plan is None and planned.channels is None
         assert len(planned.stages.clusters) == scenario.parallel.pipeline
-        assert "rank_clusters" not in planned.topology.__dict__
         hp.scenario_reduce_scatter(scenario, planned, part)
-    assert "rank_clusters" not in scenario.topology.__dict__
+    # No rank table can be cached on a topology.
+    assert not hasattr(scenario.topology, "__dict__")
