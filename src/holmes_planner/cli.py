@@ -219,7 +219,6 @@ def cmd_compare(args) -> int:
     baseline_throughput = None
     for name in args.strategies:
         report, planned, part = planner.run_strategy(scenario, name)
-        rs_entries = planner.scenario_reduce_scatter(scenario, planned, part)
         dp_sync = report.breakdown["dp_sync"]
         if baseline_throughput is None:
             baseline_throughput = report.throughput_samples_per_s
@@ -234,15 +233,17 @@ def cmd_compare(args) -> int:
                 f"{args.strategies[0]}_over_this": ratio,
             }
         )
-        csv_docs.append(
-            {
-                "scenario": scenario.name,
-                "nic_env": planner.nic_env_label(planned.topology)
-                + ("" if name in ("holmes", "hybrid") else f":{name}"),
-                "report": report.to_json_dict(),
-                "reduce_scatter": [e.to_json_dict() for e in rs_entries],
-            }
-        )
+        if args.csv:
+            rs_entries = planner.scenario_reduce_scatter(scenario, planned, part)
+            csv_docs.append(
+                {
+                    "scenario": scenario.name,
+                    "nic_env": planner.nic_env_label(planned.topology)
+                    + ("" if name in ("holmes", "hybrid") else f":{name}"),
+                    "report": report.to_json_dict(),
+                    "reduce_scatter": [e.to_json_dict() for e in rs_entries],
+                }
+            )
     if args.csv:
         _write_file(args.csv, _csv_text(csv_docs))
     if args.format == "json":

@@ -122,6 +122,11 @@ def uniform_partition(layers: int, stages: int) -> list[int]:
 
 def check_memory(cluster_layers, mem_per_layer_gb, dmem_gb, alphas_in_play=False):
     """Enforce layers * per-layer GB <= budget for every cluster."""
+    if len(cluster_layers) != len(dmem_gb):
+        raise InfeasibleConfigError(
+            f"{len(cluster_layers)} cluster layer counts but {len(dmem_gb)} "
+            f"memory budgets"
+        )
     for i, (count, budget) in enumerate(zip(cluster_layers, dmem_gb), start=1):
         used = count * mem_per_layer_gb
         if used > budget:

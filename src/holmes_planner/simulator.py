@@ -18,8 +18,10 @@ single timeline per stage determines the makespan.  The schedule is the
 flush-synchronised 1F1B form: stage s (1-based, p stages) runs
 min(p - s, m) warmup forwards, then alternates forward/backward, then
 drains its remaining backwards.  Each operation starts when its lane is
-free and its input has arrived; one pass in a fixed dependency order
-computes every start and end.
+free and its input has arrived.  One pass computes every start and end in
+m + p - 1 micro-batch waves: step n runs forward n down the pipeline, then
+on each stage s the backward p - s micro-batches behind it, which is the
+order in which each lane runs them.
 
 Stage-boundary transfers are modelled as fully overlapped with steady-state
 compute (sends are asynchronous and the next micro-batch's data is
@@ -463,10 +465,13 @@ def _stage_costs(
     return out
 
 
+_NO_INPUT = float("-inf")  # stage 0's forward input: never later than a lane
+
+
 def _schedule(
     t_fwd: tuple[float, ...], t_bwd: tuple[float, ...], hop: float, m: int
 ) -> tuple[list[list[float]], list[list[float]], list[list[float]], list[list[float]]]:
-    """Start and end seconds of every 1F1B operation, in one pass.
+    """Start and end seconds of every 1F1B operation, in micro-batch waves.
 
     Returns forward starts, forward ends, backward starts and backward ends,
     each indexed [stage - 1][micro - 1].  An operation starts at the later
@@ -474,19 +479,28 @@ def _schedule(
     previous stage, a backward's from the next stage, or from its own
     forward on the last stage.
 
-    Stage s (0-based) runs w = min(p-1-s, m) warmup forwards, then
-    alternates forward and backward, then drains; at op position j it runs
+    The pass takes steps n = 0 ... m + p - 2.  Step n runs forward n on
+    every stage in ascending order, each fed by the forward just computed
+    on the stage before it; then each stage s (0-based) with
+    0 <= n - (p-1-s) < m runs backward n - (p-1-s), again in ascending
+    order, fed by the backward stage s + 1 ran at step n - 1 (the last
+    stage by its own forward n).  Each stage's latest backward end sits in
+    a p-vector, and ascending order reads an entry before overwriting it.
 
-    - warmup forward j while j < w,
-    - drain backward j - m once j >= 2m - w,
-    - in between, forward (j + w) / 2 when j - w is even and backward
-      (j - w - 1) / 2 when it is odd.
+    This is the 1F1B lane order: stage s runs its w = p-1-s warmup
+    forwards (all m when w >= m), then forward w + i alternating with
+    backward i, then drains its backwards, and at each step it runs forward
+    n and then backward n - w, so lane order is step order.  Every
+    operation therefore reads the same lane end and the same input, and
+    takes the same ``max`` and float add, as in any other order that
+    respects the dependencies.
 
-    A forward's input sits at a position <= j of the stage before it and a
-    backward's at a position <= j of the stage after it (or earlier on its
-    own lane), so taking positions in order, forwards in ascending stage
-    order and then backwards in descending stage order, computes every
-    input before it is read.
+    The hop time is exposed on the pipeline fill and on the drain only:
+    on the forwards of step 0 and on backward m - 1, each with a loop of
+    its own.  Later transfers arrive under cover of the previous compute,
+    so the plain loops read their inputs without it.  A rule that exposes
+    every transfer adds the hop to exactly those two input reads, and the
+    peeled loops then fold back into the plain ones.
     """
     p = len(t_fwd)
     last = p - 1
@@ -495,55 +509,45 @@ def _schedule(
     bwd_start = [[0.0] * m for _ in range(p)]
     bwd_end = [[0.0] * m for _ in range(p)]
     lane = [0.0] * p
-    for j in range(2 * m):
-        if j < m:  # stages below last - j are still warming up: forward j
-            for s in range(last - j):
+    bwd_last = [0.0] * p  # each stage's latest backward end
+    rows = list(zip(range(p), fwd_start, fwd_end, t_fwd))
+    prev = _NO_INPUT
+    for s, starts, ends, t in rows:  # step 0's forwards pay the hop
+        start = lane[s]
+        ready = prev + hop
+        if ready > start:
+            start = ready
+        starts[0] = start
+        lane[s] = prev = ends[0] = start + t
+    for n in range(m + last):
+        if 0 < n < m:
+            prev = _NO_INPUT
+            for s, starts, ends, t in rows:
                 start = lane[s]
-                if s:
-                    # Hop time is exposed on the pipeline fill only; later
-                    # forwards arrive under cover of the previous compute.
-                    ready = fwd_end[s - 1][j] + hop if j == 0 else fwd_end[s - 1][j]
-                    if ready > start:
-                        start = ready
-                fwd_start[s][j] = start
-                lane[s] = fwd_end[s][j] = start + t_fwd[s]
-        # From stage lo up, stages are past warmup and before the drain at j,
-        # so every other one runs a forward and the rest a backward; along a
-        # position each such op is one micro-batch behind the one below it.
-        lo = max(last - j, last + j + 1 - 2 * m, last + 1 - m, 0)
-        odd = (lo + j - last) & 1  # 1 when stage lo runs a backward
-        k = (j + last - lo - odd) >> 1
-        for s in range(lo + odd, p, 2):
+                if prev > start:
+                    start = prev
+                starts[n] = start
+                lane[s] = prev = ends[n] = start + t
+        # Stages lo .. top run backwards n - last + lo onward; stage top
+        # runs either the last stage's backward n or backward m - 1.
+        lo = last - n if n < last else 0
+        top = last if n < m else m + last - 1 - n
+        k = n - last + lo
+        for s in range(lo, top):
             start = lane[s]
-            if s:
-                ready = fwd_end[s - 1][k] + hop if k == 0 else fwd_end[s - 1][k]
-                if ready > start:
-                    start = ready
-            fwd_start[s][k] = start
-            lane[s] = fwd_end[s][k] = start + t_fwd[s]
-            k -= 1
-        top = last - ((last - lo - 1 + odd) & 1)
-        k = (j - last + top - 1) >> 1
-        for s in range(top, lo - odd, -2):
-            if s < last:  # the hop is exposed again on the drain
-                ready = bwd_end[s + 1][k] + hop if k == m - 1 else bwd_end[s + 1][k]
-            else:
-                ready = fwd_end[s][k]
-            start = lane[s]
+            ready = bwd_last[s + 1]
             if ready > start:
                 start = ready
             bwd_start[s][k] = start
-            lane[s] = bwd_end[s][k] = start + t_bwd[s]
-            k -= 1
-        if j >= m:  # stages up to last + j - 2m are draining: backward j - m
-            k = j - m
-            for s in range(last + j - 2 * m, -1, -1):
-                ready = bwd_end[s + 1][k] + hop if k == m - 1 else bwd_end[s + 1][k]
-                start = lane[s]
-                if ready > start:
-                    start = ready
-                bwd_start[s][k] = start
-                lane[s] = bwd_end[s][k] = start + t_bwd[s]
+            lane[s] = bwd_last[s] = bwd_end[s][k] = start + t_bwd[s]
+            k += 1
+        start = lane[top]  # on the last stage, its forward k just ended
+        if top < last:  # backward m - 1 pays the hop on the drain
+            ready = bwd_last[top + 1] + hop
+            if ready > start:
+                start = ready
+        bwd_start[top][k] = start
+        lane[top] = bwd_last[top] = bwd_end[top][k] = start + t_bwd[top]
     return fwd_start, fwd_end, bwd_start, bwd_end
 
 

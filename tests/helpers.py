@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
+import types
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -12,6 +15,18 @@ from holmes_planner import nic_select
 IB = hp.NicKind.INFINIBAND
 ROCE = hp.NicKind.ROCE
 ETH = hp.NicKind.ETHERNET
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_module(name: str) -> types.ModuleType:
+    """``bench/<name>.py``, compiled in memory so that no bytecode cache is
+    written under ``bench/``.  It is registered as ``bench_<name>``, which
+    its dataclasses look up while the module runs."""
+    path = BENCH / f"{name}.py"
+    module = sys.modules[f"bench_{name}"] = types.ModuleType(f"bench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_bytes(), str(path), "exec"), module.__dict__)
+    return module
 
 
 def make_topo(

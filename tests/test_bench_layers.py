@@ -5,32 +5,20 @@ the package into the document ``run_scenario`` gives.
 bytecode cache is written there.
 """
 
-import types
-from pathlib import Path
-
 import holmes_planner as hp
+from helpers import BENCH, bench_module
 from holmes_planner import planner
 
-ROOT = Path(__file__).resolve().parent.parent
-BENCH = ROOT / "bench"
-SHIPPED = sorted((ROOT / "scenarios").glob("*.json"))
+SHIPPED = sorted((BENCH.parent / "scenarios").glob("*.json"))
 
 
 def _snapshot():
     return {p: p.read_bytes() for p in sorted(BENCH.rglob("*")) if p.is_file()}
 
 
-def _bench_layers():
-    path = BENCH / "layers.py"
-    module = types.ModuleType("bench_layers")
-    module.__file__ = str(path)
-    exec(compile(path.read_bytes(), str(path), "exec"), module.__dict__)
-    return module
-
-
 def test_bench_composed_run_gives_the_run_scenario_document():
     before = _snapshot()
-    layers = _bench_layers()
+    layers = bench_module("layers")
     null = layers.NullTracer()
     assert len(SHIPPED) == 10
     for path in SHIPPED:

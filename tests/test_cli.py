@@ -6,7 +6,7 @@ from pathlib import Path
 
 import holmes_planner as hp
 from helpers import full_scenario
-from holmes_planner import cli
+from holmes_planner import cli, planner
 
 
 def _write(tmp_path, doc) -> str:
@@ -118,3 +118,17 @@ def test_compare_argument_errors_exit_malformed(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("unknown strategy 'bogus'; valid names: holmes, ")
+
+
+def test_compare_without_csv_skips_reduce_scatter(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, full_scenario())
+    argv = ["compare", "--config", path, "--format", "json", "holmes", "naive"]
+    assert cli.main(argv) == cli.EXIT_OK
+    plain = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("reduce-scatter entries built without --csv")
+
+    monkeypatch.setattr(planner, "scenario_reduce_scatter", refuse)
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == plain

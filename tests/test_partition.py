@@ -203,3 +203,12 @@ def test_uniform_split_checks_the_last_clusters_memory():
     settings = PartitionSettings(cluster_mem_budget_gb=(20.0, 10.0))
     with pytest.raises(hp.MemoryExceededError, match="^cluster 2: 15 layers"):
         hp.partition_scenario(scenario._replace(partition=settings))
+
+
+def test_check_memory_rejects_a_budget_list_shorter_than_the_clusters():
+    # The second cluster's 15 layers would need 30 GB; with one budget for
+    # two clusters it must not pass unchecked.
+    message = "^2 cluster layer counts but 1 memory budgets$"
+    with pytest.raises(hp.InfeasibleConfigError, match=message):
+        hp.check_memory([15, 15], 2.0, [100.0])
+    hp.check_memory([15, 15], 2.0, [30.0, 30.0])

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import holmes_planner as hp
-from helpers import mixed_topo_16, single_topo, small_model, uniform_plan
-from holmes_planner import cli, planner, simulator
+from helpers import bench_module, mixed_topo_16, single_topo, small_model, uniform_plan
+from holmes_planner import cli, config, planner, simulator
 from holmes_planner.simulator import StageEvent, chrome_trace
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -280,6 +282,88 @@ def test_schedule_pass_equals_the_scan_loop_exactly(p, m, data, hop):
     timeline, iter_time = _reference(*stages, m)
     assert report.iter_time_s == iter_time
     assert report.timeline == timeline
+
+
+def _assert_pass_equals_the_scan_loop(stages, m):
+    report = simulator.SimReport(
+        iter_time_s=simulator._iteration_time(stages, m),
+        tflops_per_gpu=0.0,
+        throughput_samples_per_s=0.0,
+        flops_per_iteration=0.0,
+        micro_batches=m,
+        breakdown={},
+        _stages=stages,
+    )
+    timeline, iter_time = _reference(*stages, m)
+    assert report.iter_time_s == iter_time
+    assert report.timeline == timeline
+
+
+def _uneven_stages(p, hop, seed=0):
+    """Stage times that differ stage by stage; every third stage has no
+    dp_sync."""
+    rng = random.Random(seed)
+    t_fwd = tuple(rng.uniform(1e-3, 5e-3) for _ in range(p))
+    t_bwd = tuple(2.0 * t * rng.uniform(0.8, 1.2) for t in t_fwd)
+    dp_sync = tuple(0.0 if s % 3 == 0 else rng.uniform(1e-3, 1e-2) for s in range(p))
+    return t_fwd, t_bwd, dp_sync, hop
+
+
+# p = 1; m = 1; m < p - 1; m = p - 1.
+EDGES = [(1, 1), (1, 5), (2, 1), (5, 1), (8, 3), (6, 5), (16, 15)]
+
+
+@pytest.mark.parametrize("hop", [0.0, 2.5e-3])
+@pytest.mark.parametrize("p,m", EDGES)
+def test_schedule_pass_equals_the_scan_loop_on_the_edges(p, m, hop):
+    _assert_pass_equals_the_scan_loop(_uneven_stages(p, hop, seed=p * 100 + m), m)
+
+
+def test_schedule_pass_equals_the_scan_loop_at_8192_gpu_depth():
+    # p=16, m=1024, as in the 8192-GPU benchmark documents.
+    _assert_pass_equals_the_scan_loop(_uneven_stages(16, 5.4e-3), 1024)
+
+
+@functools.cache
+def _large_scenarios():
+    """The 8192-GPU documents of ``bench/gen.py``, parsed."""
+    return tuple(
+        config.parse_scenario(json.loads(raw), raw, name=name)
+        for name, raw in bench_module("gen").large_docs()
+    )
+
+
+def test_large_bench_documents_give_the_reference_timeline():
+    for scenario in _large_scenarios():
+        report, _, _ = planner.run_scenario(scenario)
+        timeline, iter_time = _reference(*report._stages, report.micro_batches)
+        assert report.timeline == timeline, scenario.name
+        assert report.iter_time_s == iter_time, scenario.name
+
+
+def test_timeline_read_runs_no_schedule_pass(monkeypatch):
+    # The benchmark reads every 8192-GPU op's timeline outside the timer;
+    # that read must build events from the kept schedule, not redo the pass.
+    def refuse(*args):
+        raise AssertionError("the timeline read ran the schedule pass")
+
+    for scenario in _large_scenarios():
+        report, _, _ = planner.run_scenario(scenario)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "_schedule", refuse)
+            timeline = report.timeline
+        fwd_start, fwd_end, bwd_start, bwd_end = report._starts_ends
+        kept = {}
+        for s in range(scenario.parallel.pipeline):
+            for k in range(report.micro_batches):
+                kept[s + 1, "fwd", k + 1] = fwd_start[s][k], fwd_end[s][k]
+                kept[s + 1, "bwd", k + 1] = bwd_start[s][k], bwd_end[s][k]
+        read = {
+            (e.stage, e.op, e.micro): (e.start_s, e.end_s)
+            for e in timeline
+            if e.op != "dp_sync"
+        }
+        assert read == kept, scenario.name
 
 
 @pytest.mark.parametrize("name", SHIPPED)
